@@ -336,19 +336,48 @@ void CrawlPlanBuilder::InitIdealState(util::ThreadPool* thread_pool) {
   p_.cover_forward_ = index::ForwardIndex(std::move(cf).Build());
 }
 
+namespace {
+
+/// A page record's text: its fields joined by single spaces.
+std::string RecordText(const table::Record& rec) {
+  std::string textv;
+  for (size_t i = 0; i < rec.fields.size(); ++i) {
+    if (i > 0) textv += ' ';
+    textv += rec.fields[i];
+  }
+  return textv;
+}
+
+}  // namespace
+
 std::vector<text::Document> CrawlPlan::BuildPageDocuments(
     const std::vector<table::Record>& page, text::TermDictionary* dict) {
   std::vector<text::Document> docs;
   docs.reserve(page.size());
   for (const auto& rec : page) {
-    std::string textv;
-    for (size_t i = 0; i < rec.fields.size(); ++i) {
-      if (i > 0) textv += ' ';
-      textv += rec.fields[i];
-    }
-    docs.push_back(text::Document::FromText(textv, *dict));
+    docs.push_back(text::Document::FromText(RecordText(rec), *dict));
   }
   return docs;
+}
+
+std::vector<text::Document> CrawlPlan::FrozenPageDocuments(
+    const std::vector<table::Record>& page) const {
+  std::vector<text::Document> docs;
+  docs.reserve(page.size());
+  for (const auto& rec : page) {
+    docs.push_back(text::Document::FromTextFrozen(RecordText(rec), dict_));
+  }
+  return docs;
+}
+
+std::vector<table::RecordId> CrawlPlan::MatchPage(
+    QueryIdx q, const std::vector<table::Record>& page,
+    std::span<const uint8_t> removed) const {
+  if (!needs_page_documents()) {
+    return MatchPreparedPage(q, page, nullptr, removed);
+  }
+  const std::vector<text::Document> docs = FrozenPageDocuments(page);
+  return MatchPreparedPage(q, page, &docs, removed);
 }
 
 std::vector<table::RecordId> CrawlPlan::ActivePostings(
@@ -387,20 +416,18 @@ std::vector<table::RecordId> CrawlPlan::MatchPreparedPage(
       break;
     }
     case match::ErMode::kJaccard: {
-      // Sec. 6.1: similarity join between q(D) and the returned page.
-      std::vector<table::RecordId> candidates;
-      if (active_only) {
-        candidates = ActivePostings(q, removed);
-      } else {
-        candidates.assign(pool_.local_postings[q].begin(),
-                          pool_.local_postings[q].end());
-      }
-      std::vector<text::Document> left;
-      left.reserve(candidates.size());
-      for (table::RecordId d : candidates) left.push_back(local_docs_[d]);
-      for (const auto& p : match::JaccardJoin(
-               left, *page_docs, options_.er.jaccard_threshold)) {
-        matched.push_back(candidates[p.left]);
+      // Sec. 6.1: similarity join between q(D) and the returned page,
+      // reading each candidate's local document in place. A candidate
+      // matches once any page record passes the join's pair predicate.
+      const double threshold = options_.er.jaccard_threshold;
+      for (index::DocIndex d : pool_.local_postings[q]) {
+        if (active_only && removed[d]) continue;
+        for (const text::Document& doc : *page_docs) {
+          if (match::JaccardPairSimilarity(local_docs_[d], doc, threshold)) {
+            matched.push_back(d);
+            break;
+          }
+        }
       }
       break;
     }

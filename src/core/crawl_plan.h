@@ -164,8 +164,8 @@ class CrawlPlan {
 
   const SmartCrawlOptions& options() const { return options_; }
 
-  /// The frozen crawler-side dictionary (local + sample terms). Sessions
-  /// that intern returned pages copy it; the plan's own copy never grows.
+  /// The frozen crawler-side dictionary (local + sample terms). Page
+  /// documents are built against it read-only (FrozenPageDocuments).
   const text::TermDictionary& dict() const { return dict_; }
 
   /// One document per local record, over dict().
@@ -224,20 +224,36 @@ class CrawlPlan {
   }
 
   /// Interns one document per page record (field concatenation order) into
-  /// `dict` — the sequential, dictionary-mutating half of page matching.
-  /// Sessions pass their own dictionary copy.
+  /// `dict`. Matches exactly like FrozenPageDocuments, which sessions use;
+  /// this dictionary-mutating form remains for callers that keep their
+  /// own growing dictionary.
   static std::vector<text::Document> BuildPageDocuments(
       const std::vector<table::Record>& page, text::TermDictionary* dict);
 
+  /// One document per page record (field concatenation order) over the
+  /// frozen dict(): every distinct unknown token of a record counts with an
+  /// overflow id >= dict().size() (text::Document::FromTextFrozen). Unknown
+  /// terms never occur in local_docs(), so document sizes, Jaccard scores
+  /// and exact-match equality against local records are the same as with
+  /// BuildPageDocuments — but the result is a pure function of (plan, page).
+  std::vector<text::Document> FrozenPageDocuments(
+      const std::vector<table::Record>& page) const;
+
   /// The read-only half of page matching: matches a page whose documents
-  /// were already interned (`page_docs` may be null for the entity-oracle
+  /// were already built (`page_docs` may be null for the entity-oracle
   /// mode, which never looks at text) against the plan's local records.
   /// `removed` is the caller's session-local removed bitmap; an EMPTY span
-  /// matches against all of D (used at Build time for oracle covers).
+  /// matches against all of D (Build-time oracle covers, the page memo).
   /// Const and session-state-free, so it can run on worker threads.
   std::vector<table::RecordId> MatchPreparedPage(
       QueryIdx q, const std::vector<table::Record>& page,
       const std::vector<text::Document>* page_docs,
+      std::span<const uint8_t> removed) const;
+
+  /// Both halves in one call: FrozenPageDocuments (when the ER mode reads
+  /// text), then MatchPreparedPage. Const and pure, like its parts.
+  std::vector<table::RecordId> MatchPage(
+      QueryIdx q, const std::vector<table::Record>& page,
       std::span<const uint8_t> removed) const;
 
   /// Current q(D) under the caller's removed bitmap: the still-active

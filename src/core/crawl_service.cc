@@ -113,13 +113,18 @@ Status CrawlService::Drive(const std::vector<SessionSpec>& specs,
   const size_t n = specs.size();
   sc.sessions.clear();
   sc.sessions.resize(n);
-  // Sessions reference caller-owned plans, so they must not outlive this
-  // call — clear on EVERY exit path, including a throwing callback
-  // unwinding through here. (The flag/round buffers deliberately stay.)
+  // Sessions and memo entries reference caller-owned plans, so they must
+  // not outlive this call — clear on EVERY exit path, including a throwing
+  // callback unwinding through here. (The flag/round buffers deliberately
+  // stay.)
   struct SessionsClearer {
     std::vector<std::unique_ptr<CrawlSession>>* sessions;
-    ~SessionsClearer() { sessions->clear(); }
-  } clear_on_exit{&sc.sessions};
+    PageMatchMemo* memo;
+    ~SessionsClearer() {
+      sessions->clear();
+      memo->Clear();
+    }
+  } clear_on_exit{&sc.sessions, &page_memo_};
   sc.done.assign(n, 0);
   size_t running = n;
 
@@ -134,7 +139,8 @@ Status CrawlService::Drive(const std::vector<SessionSpec>& specs,
   }
 
   for (size_t i = 0; i < n; ++i) {
-    sc.sessions[i] = std::make_unique<CrawlSession>(*specs[i].plan);
+    sc.sessions[i] =
+        std::make_unique<CrawlSession>(*specs[i].plan, &page_memo_);
     sc.sessions[i]->ConfigureRepair(options_.pq_repair, repair_pool.get());
     sc.sessions[i]->AttachTransport(shared_origin, specs[i].transport);
     Status begun = sc.sessions[i]->Begin(

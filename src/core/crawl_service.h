@@ -9,6 +9,7 @@
 #include "core/crawl_plan.h"
 #include "core/crawl_result.h"
 #include "core/crawl_session.h"
+#include "core/page_match_memo.h"
 #include "hidden/search_interface.h"
 #include "net/caching_interface.h"
 #include "net/transport_stack.h"
@@ -29,6 +30,13 @@
 ///    hit for tenant B. Under per-tenant hidden::DailyQuotaInterface
 ///    metering (which charges by the delta of queries the layers BELOW it
 ///    actually accepted) such hits are metered-free.
+///
+/// A third kind of sharing rides along: every session of a run matches its
+/// pages through one core::PageMatchMemo, so a page that many tenants of
+/// the same plan fetch is tokenized and matched once per run, and each
+/// session only filters the memoized matches through its own removed
+/// bitmap (results are identical to memo-less sessions; see
+/// page_match_memo.h). The memo is cleared when the run ends.
 ///
 /// Each round has an issue half (Phase A: every live session issues at
 /// most one accepted query, in session-index order, all transport and
@@ -181,6 +189,10 @@ class CrawlService {
   std::vector<net::CachingInterface::ShardSnapshot> shared_cache_shard_stats()
       const;
 
+  /// Cumulative page-match memo counters over all runs (entries count the
+  /// in-flight run only: the memo is cleared when a run ends).
+  PageMatchMemo::Stats page_memo_stats() const { return page_memo_.stats(); }
+
  private:
   /// Per-run state both drive modes share, hoisted into a member so its
   /// buffers (done/pending flags, round slots, epoch table, outcome
@@ -208,6 +220,9 @@ class CrawlService {
   std::unique_ptr<RoundScratch> scratch_ SC_GUARDED_BY(drive_mu_);
   /// The shared cross-tenant cache; every tenant stack's origin.
   std::unique_ptr<net::CachingInterface> shared_cache_;
+  /// Every session of the running Drive matches pages through this memo;
+  /// internally locked, cleared when the run ends.
+  PageMatchMemo page_memo_;
 };
 
 }  // namespace smartcrawl::core

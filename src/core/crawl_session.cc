@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "core/page_match_memo.h"
 #include "util/result.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -17,8 +18,9 @@
 
 namespace smartcrawl::core {
 
-CrawlSession::CrawlSession(const CrawlPlan& plan)
+CrawlSession::CrawlSession(const CrawlPlan& plan, PageMatchMemo* page_memo)
     : plan_(&plan),
+      page_memo_(page_memo),
       freq_d_(plan.initial_freq_d().begin(), plan.initial_freq_d().end()),
       inter_(plan.initial_inter().begin(), plan.initial_inter().end()),
       cover_count_(plan.initial_cover_count().begin(),
@@ -26,12 +28,7 @@ CrawlSession::CrawlSession(const CrawlPlan& plan)
       ctx_(plan.estimator_context()),
       removed_(plan.num_records(), 0),
       covered_(plan.num_records(), 0),
-      num_active_(plan.num_records()) {
-  // The entity-oracle ER mode never interns page text, so those sessions
-  // skip the dictionary copy — the dominant per-session cost on text-free
-  // configurations.
-  if (plan.needs_page_documents()) dict_ = plan.dict();
-}
+      num_active_(plan.num_records()) {}
 
 void CrawlSession::AttachTransport(hidden::KeywordSearchInterface* origin,
                                    const net::TransportOptions& options) {
@@ -66,18 +63,6 @@ double CrawlSession::PriorityOf(QueryIdx q) const {
              (freq_d_[q] > 0 ? kLivenessEpsilon : 0.0);
   }
   return 0.0;
-}
-
-std::vector<table::RecordId> CrawlSession::MatchPage(
-    QueryIdx q, const std::vector<table::Record>& page) {
-  // Intern first (mutates the session dictionary, record order), then
-  // match read-only — the same FromText call order the fused loop
-  // performed, so the dictionary contents are unchanged by the split.
-  const bool need_docs = plan_->needs_page_documents();
-  std::vector<text::Document> docs;
-  if (need_docs) docs = CrawlPlan::BuildPageDocuments(page, &dict_);
-  return plan_->MatchPreparedPage(q, page, need_docs ? &docs : nullptr,
-                                  removed_);
 }
 
 void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
@@ -264,7 +249,9 @@ void CrawlSession::ProcessPendingPage() {
     }
   }
 
-  std::vector<table::RecordId> covered_now = MatchPage(q, page);
+  std::vector<table::RecordId> covered_now =
+      page_memo_ != nullptr ? page_memo_->Match(*plan_, q, page, removed_)
+                            : plan_->MatchPage(q, page, removed_);
   for (table::RecordId d : covered_now) covered_[d] = 1;
 
   dirty_frontier_.clear();  // reused scratch: no per-page allocation

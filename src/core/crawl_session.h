@@ -23,6 +23,14 @@
 /// once in CrawlPlan::Build, so a service can stamp out thousands of
 /// sessions per plan (see core::CrawlService and bench/bench_service.cpp).
 ///
+/// Returned pages are tokenized against the plan's frozen dictionary
+/// (CrawlPlan::FrozenPageDocuments), so a session owns no dictionary and
+/// a page's match is a pure function of (plan, query, page). A service
+/// passes every session one core::PageMatchMemo, so each distinct page is
+/// tokenized and matched once per run and each session only filters the
+/// shared result through its own removed bitmap; a standalone session
+/// matches every page itself. Both paths produce identical results.
+///
 /// Two ways to drive a session:
 ///  * Crawl(iface, budget) — the classic blocking loop, resumable across
 ///    calls exactly like the old SmartCrawler::Crawl.
@@ -55,6 +63,8 @@ class ThreadPool;
 
 namespace smartcrawl::core {
 
+class PageMatchMemo;
+
 /// How a session repairs dirtied priority-queue entries after removals.
 enum class PqRepairMode : uint8_t {
   kPoint = 0,
@@ -64,9 +74,11 @@ enum class PqRepairMode : uint8_t {
 class CrawlSession {
  public:
   /// Seeds a fresh session from `plan` (which must outlive the session).
-  /// Copies the initial frequencies/intersections/cover counts and — only
-  /// when page matching needs text — the plan dictionary.
-  explicit CrawlSession(const CrawlPlan& plan);
+  /// Copies the initial frequencies/intersections/cover counts. Pages are
+  /// matched through `page_memo` when given (shared by concurrent
+  /// sessions; must outlive the session), else directly on the plan.
+  explicit CrawlSession(const CrawlPlan& plan,
+                        PageMatchMemo* page_memo = nullptr);
 
   /// The priority-queue recompute hook captures `this`; neither copies nor
   /// moves are safe.
@@ -107,8 +119,9 @@ class CrawlSession {
 
   /// The compute half of one iteration: logs the pending page, matches it,
   /// applies the policy's removal rule and repairs the priority queue.
-  /// Touches only session-local state plus the const plan, so concurrent
-  /// sessions may run this on worker threads.
+  /// Touches only session-local state plus the const plan and the
+  /// internally locked page memo, so concurrent sessions may run this on
+  /// worker threads.
   void ProcessPendingPage();
 
   /// Finishes the crawl call begun by Begin and returns its result.
@@ -154,9 +167,6 @@ class CrawlSession {
   const CrawlPlan& plan() const { return *plan_; }
 
  private:
-  std::vector<table::RecordId> MatchPage(
-      QueryIdx q, const std::vector<table::Record>& page);
-
   /// Removes records from D, updating frequencies / intersections / cover
   /// counts and dirtying affected queries in `dirtied`.
   void RemoveRecords(const std::vector<table::RecordId>& ids,
@@ -168,11 +178,7 @@ class CrawlSession {
   void RepairBatch(const std::vector<QueryIdx>& dirtied);
 
   const CrawlPlan* plan_;
-
-  /// Session-private dictionary for interning returned pages; copied from
-  /// the plan only when the ER mode reads page text (the entity-oracle
-  /// mode never does, and such sessions skip the copy entirely).
-  text::TermDictionary dict_;
+  PageMatchMemo* page_memo_;  // not owned; null = match on the plan
 
   // Maintained per-query statistics (seeded from the plan).
   std::vector<uint32_t> freq_d_;       // current |q(D)|

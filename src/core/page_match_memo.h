@@ -1,0 +1,93 @@
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <span>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "core/crawl_plan.h"
+#include "table/table.h"
+#include "util/thread_annotations.h"
+
+/// \file page_match_memo.h
+/// Shares the work of matching one returned page across the sessions of a
+/// fleet.
+///
+/// Matching a page against q(D) (Sec. 6.1) is a pure function of the plan,
+/// the query and the page: page documents are built against the plan's
+/// frozen dictionary (CrawlPlan::FrozenPageDocuments) and the Jaccard /
+/// exact pair predicate reads no session state. A session's own state
+/// enters only as its removed bitmap, which merely restricts the matched
+/// set to active records. So the memo keeps, per (plan, query, page), the
+/// matches over ALL of q(D) — CrawlPlan::MatchPage with an empty removed
+/// bitmap — and every later lookup filters that set through the caller's
+/// bitmap. Because a candidate's match does not depend on which other
+/// candidates are active, memo ∩ active equals the join over the active
+/// records alone, and Match() returns exactly what CrawlPlan::MatchPage
+/// would (pinned by tests/core/page_match_test.cc).
+///
+/// Keys are (plan identity, query index, content fingerprint of the page);
+/// a hit is confirmed against the page's (record id, entity id) sequence.
+/// Fault injection truncates and duplicates pages per tenant, so such
+/// variants have different content and get entries of their own.
+///
+/// Thread safety: Match() may be called concurrently. The map is guarded
+/// by one mutex; a miss computes outside the lock, and a lost insertion
+/// race discards an identical value. Entries are never modified after
+/// insertion and live until Clear(), which must not overlap any Match().
+
+namespace smartcrawl::core {
+
+class PageMatchMemo {
+ public:
+  struct Stats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    size_t entries = 0;
+  };
+
+  PageMatchMemo() = default;
+  PageMatchMemo(const PageMatchMemo&) = delete;
+  PageMatchMemo& operator=(const PageMatchMemo&) = delete;
+
+  /// Equals plan.MatchPage(q, page, removed): the sorted, unique local
+  /// records matched by `page`, restricted to records not set in `removed`
+  /// (an empty span means all of D). `plan` must outlive the entries.
+  std::vector<table::RecordId> Match(const CrawlPlan& plan, QueryIdx q,
+                                     const std::vector<table::Record>& page,
+                                     std::span<const uint8_t> removed)
+      SC_EXCLUDES(mu_);
+
+  /// Counters since construction (Clear keeps hits and misses).
+  Stats stats() const SC_EXCLUDES(mu_);
+
+  /// Drops every entry. No Match() may run concurrently.
+  void Clear() SC_EXCLUDES(mu_);
+
+ private:
+  struct Key {
+    const CrawlPlan* plan;
+    QueryIdx query;
+    uint64_t fingerprint;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
+  struct Entry {
+    /// The page's (record id, entity id) sequence, confirming a hit.
+    std::vector<std::pair<table::RecordId, table::EntityId>> ids;
+    /// Matches over all of q(D), sorted and unique.
+    std::vector<table::RecordId> matches;
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<Key, Entry, KeyHash> entries_ SC_GUARDED_BY(mu_);
+  uint64_t hits_ SC_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ SC_GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace smartcrawl::core

@@ -21,13 +21,9 @@ std::vector<JoinPair> JoinRange(const std::vector<text::Document>& left,
   for (size_t i = lo; i < hi; ++i) {
     if (left[i].empty()) continue;
     for (uint32_t j = 0; j < right.size(); ++j) {
-      if (right[j].empty()) continue;
-      if (!PassesLengthFilter(left[i].size(), right[j].size(), threshold)) {
-        continue;
-      }
-      double sim = left[i].Jaccard(right[j]);
-      if (sim >= threshold) {
-        out.push_back(JoinPair{static_cast<uint32_t>(i), j, sim});
+      if (std::optional<double> sim =
+              JaccardPairSimilarity(left[i], right[j], threshold)) {
+        out.push_back(JoinPair{static_cast<uint32_t>(i), j, *sim});
       }
     }
   }
@@ -35,6 +31,16 @@ std::vector<JoinPair> JoinRange(const std::vector<text::Document>& left,
 }
 
 }  // namespace
+
+std::optional<double> JaccardPairSimilarity(const text::Document& a,
+                                            const text::Document& b,
+                                            double threshold) {
+  if (a.empty() || b.empty()) return std::nullopt;
+  if (!PassesLengthFilter(a.size(), b.size(), threshold)) return std::nullopt;
+  const double sim = a.Jaccard(b);
+  if (sim < threshold) return std::nullopt;
+  return sim;
+}
 
 std::vector<JoinPair> JaccardJoin(const std::vector<text::Document>& left,
                                   const std::vector<text::Document>& right,

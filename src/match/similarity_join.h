@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,13 @@ struct JoinPair {
   uint32_t right;  // index into the right collection
   double similarity;
 };
+
+/// The pair predicate of every join below: both documents non-empty, the
+/// length filter, then Jaccard(a, b) >= threshold. Returns the similarity
+/// of a matching pair, nullopt otherwise.
+std::optional<double> JaccardPairSimilarity(const text::Document& a,
+                                            const text::Document& b,
+                                            double threshold);
 
 /// All pairs with Jaccard(left[i], right[j]) >= threshold, in (left, right)
 /// scan order. `num_threads` (0 = hardware concurrency, 1 = sequential)

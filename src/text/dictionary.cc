@@ -3,7 +3,7 @@
 namespace smartcrawl::text {
 
 TermId TermDictionary::Intern(std::string_view term) {
-  auto it = ids_.find(std::string(term));
+  auto it = ids_.find(term);
   if (it != ids_.end()) return it->second;
   TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
@@ -12,7 +12,7 @@ TermId TermDictionary::Intern(std::string_view term) {
 }
 
 std::optional<TermId> TermDictionary::Lookup(std::string_view term) const {
-  auto it = ids_.find(std::string(term));
+  auto it = ids_.find(term);
   if (it == ids_.end()) return std::nullopt;
   return it->second;
 }

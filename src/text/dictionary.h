@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,7 +52,16 @@ class TermDictionary {
   std::vector<TermId> LookupAll(const std::vector<std::string>& tokens) const;
 
  private:
-  std::unordered_map<std::string, TermId> ids_;
+  /// Transparent hash: lets Lookup/Intern probe with a string_view
+  /// without materializing a std::string per token.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::unordered_map<std::string, TermId, StringHash, std::equal_to<>> ids_;
   std::vector<std::string> terms_;
 };
 

@@ -1,6 +1,9 @@
 #include "text/document.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <string_view>
 
 namespace smartcrawl::text {
 
@@ -17,8 +20,25 @@ Document Document::FromText(std::string_view textv, TermDictionary& dict,
 Document Document::FromTextFrozen(std::string_view textv,
                                   const TermDictionary& dict,
                                   const TokenizerOptions& options) {
-  std::vector<TermId> ids = dict.LookupAll(Tokenize(textv, options));
-  ids.erase(std::remove(ids.begin(), ids.end(), kInvalidTermId), ids.end());
+  std::vector<std::string> tokens = Tokenize(textv, options);
+  std::vector<TermId> ids;
+  ids.reserve(tokens.size());
+  std::vector<std::string_view> unknown;
+  for (const std::string& token : tokens) {
+    if (std::optional<TermId> id = dict.Lookup(token)) {
+      ids.push_back(*id);
+    } else {
+      unknown.push_back(token);
+    }
+  }
+  // Only the NUMBER of distinct unseen tokens matters (they match nothing),
+  // so they take the ids dict.size(), dict.size() + 1, ... in any order.
+  std::sort(unknown.begin(), unknown.end());
+  const size_t num_unknown = static_cast<size_t>(
+      std::unique(unknown.begin(), unknown.end()) - unknown.begin());
+  for (size_t i = 0; i < num_unknown; ++i) {
+    ids.push_back(static_cast<TermId>(dict.size() + i));
+  }
   return Document(std::move(ids));
 }
 

@@ -27,8 +27,12 @@ class Document {
   static Document FromText(std::string_view textv, TermDictionary& dict,
                            const TokenizerOptions& options = {});
 
-  /// Builds a document from raw text WITHOUT extending the dictionary;
-  /// unseen tokens are dropped (they can never match anything indexed).
+  /// Builds a document from raw text WITHOUT extending the dictionary.
+  /// Each distinct unseen token gets an overflow id >= dict.size(), so it
+  /// still counts toward size() — and thus every Jaccard denominator —
+  /// exactly as if it had been interned, yet it can never equal a term of
+  /// a document built over `dict`. Overflow ids are local to the returned
+  /// document: the same unseen token may get different ids in two calls.
   static Document FromTextFrozen(std::string_view textv,
                                  const TermDictionary& dict,
                                  const TokenizerOptions& options = {});

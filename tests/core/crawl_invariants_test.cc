@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -28,13 +29,19 @@
 namespace smartcrawl::core {
 namespace {
 
+// gtest names each case by a byte dump of its InvariantParams, so the
+// struct has no padding: `name_tag` fills the four bytes after `policy`.
+// Padding would dump whatever the stack held and rename the case on every
+// build; the tags hold the bytes of the case names as first recorded.
 struct InvariantParams {
   SelectionPolicy policy;
+  uint32_t name_tag;
   uint64_t seed;
   size_t k;
   size_t delta_d;
   double error_rate;
 };
+static_assert(sizeof(InvariantParams) == 40, "InvariantParams must have no padding");
 
 class CrawlInvariantsTest
     : public ::testing::TestWithParam<InvariantParams> {};
@@ -129,16 +136,16 @@ TEST_P(CrawlInvariantsTest, StructuralInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     PolicyGrid, CrawlInvariantsTest,
     ::testing::Values(
-        InvariantParams{SelectionPolicy::kSimple, 1, 50, 0, 0.0},
-        InvariantParams{SelectionPolicy::kSimple, 2, 10, 30, 0.2},
-        InvariantParams{SelectionPolicy::kBound, 3, 100000, 30, 0.0},
-        InvariantParams{SelectionPolicy::kBound, 4, 50, 0, 0.0},
-        InvariantParams{SelectionPolicy::kEstBiased, 5, 50, 0, 0.0},
-        InvariantParams{SelectionPolicy::kEstBiased, 6, 20, 50, 0.3},
-        InvariantParams{SelectionPolicy::kEstBiased, 7, 1, 0, 0.0},
-        InvariantParams{SelectionPolicy::kEstUnbiased, 8, 50, 20, 0.1},
-        InvariantParams{SelectionPolicy::kIdeal, 9, 50, 0, 0.0},
-        InvariantParams{SelectionPolicy::kIdeal, 10, 10, 40, 0.2}));
+        InvariantParams{SelectionPolicy::kSimple, 0x7FFE, 1, 50, 0, 0.0},
+        InvariantParams{SelectionPolicy::kSimple, 0, 2, 10, 30, 0.2},
+        InvariantParams{SelectionPolicy::kBound, 0x7FFE, 3, 100000, 30, 0.0},
+        InvariantParams{SelectionPolicy::kBound, 0, 4, 50, 0, 0.0},
+        InvariantParams{SelectionPolicy::kEstBiased, 0x55AE, 5, 50, 0, 0.0},
+        InvariantParams{SelectionPolicy::kEstBiased, 0, 6, 20, 50, 0.3},
+        InvariantParams{SelectionPolicy::kEstBiased, 0x7FFE, 7, 1, 0, 0.0},
+        InvariantParams{SelectionPolicy::kEstUnbiased, 0x55AE, 8, 50, 20, 0.1},
+        InvariantParams{SelectionPolicy::kIdeal, 0, 9, 50, 0, 0.0},
+        InvariantParams{SelectionPolicy::kIdeal, 0x55AE, 10, 10, 40, 0.2}));
 
 TEST(CrawlInvariantsTest, SemiConjunctiveYelpScenarioHoldsToo) {
   // The invariants must survive the assumption-violating interface:
@@ -181,7 +188,7 @@ TEST(CrawlInvariantsTest, SemiConjunctiveYelpScenarioHoldsToo) {
 }
 
 TEST(CrawlInvariantsTest, NaiveAndFullCrawlRespectBudgetAndK) {
-  InvariantParams p{SelectionPolicy::kSimple, 21, 25, 20, 0.1};
+  InvariantParams p{SelectionPolicy::kSimple, 0, 21, 25, 20, 0.1};
   auto s = MakeScenario(p);
   const size_t budget = 40;
 

@@ -1,4 +1,5 @@
 #include <bit>
+#include <iterator>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -7,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "core/crawl_service.h"
+#include "core/crawl_session.h"
+#include "core/page_match_memo.h"
 #include "core/smart_crawler.h"
 #include "datagen/scenario.h"
 #include "hidden/budget.h"
+#include "net/caching_interface.h"
 #include "sample/sampler.h"
 #include "util/hash.h"
 
@@ -28,6 +32,9 @@
 ///  3. Shared-cache semantics — a query answered for tenant A is a cache
 ///     hit for tenant B, and under per-tenant daily-quota metering such
 ///     hits are metered-free.
+///  4. Page sharing — matching pages through the run's page memo changes
+///     nothing observable, even when per-tenant faults truncate or
+///     duplicate pages.
 namespace smartcrawl::core {
 namespace {
 
@@ -361,6 +368,167 @@ TEST(CrawlServiceTest, ReusedServiceScratchIsStatelessAcrossRuns) {
   // cross-tenant.
   EXPECT_GT((*first)[0].quota_used_today, 0u);
   EXPECT_EQ((*second)[0].quota_used_today, 0u);
+}
+
+/// What a fleet run hands back, for bit-for-bit comparison.
+struct FleetRun {
+  std::vector<SessionOutcome> outcomes;
+  std::vector<size_t> finish_order;
+  net::CacheStats cache;
+};
+
+/// CrawlService's round loop over memo-less sessions, on one thread: each
+/// round, every live session issues in index order behind one shared
+/// cache (configured like the service's), then every fetched page is
+/// processed. Each session matches its pages itself.
+FleetRun RunMemolessRounds(hidden::KeywordSearchInterface* origin,
+                           const std::vector<SessionSpec>& specs) {
+  const CrawlServiceOptions defaults;
+  net::CachingInterface cache(origin, defaults.shared_cache_capacity,
+                              defaults.shared_cache_shards);
+  const size_t n = specs.size();
+  FleetRun run;
+  run.outcomes.resize(n);
+  std::vector<std::unique_ptr<CrawlSession>> sessions(n);
+  for (size_t i = 0; i < n; ++i) {
+    sessions[i] = std::make_unique<CrawlSession>(*specs[i].plan);
+    sessions[i]->AttachTransport(&cache, specs[i].transport);
+    EXPECT_TRUE(sessions[i]
+                    ->Begin(sessions[i]->transport()->top()->top_k(),
+                            specs[i].budget)
+                    .ok());
+  }
+  std::vector<uint8_t> done(n, 0);
+  std::vector<uint8_t> pending(n, 0);
+  size_t running = n;
+  while (running > 0) {
+    for (size_t i = 0; i < n; ++i) {
+      if (done[i]) continue;
+      Result<bool> have_page = sessions[i]->IssueNext();
+      EXPECT_TRUE(have_page.ok()) << have_page.status().ToString();
+      if (have_page.ok() && *have_page) {
+        pending[i] = 1;
+        continue;
+      }
+      SessionOutcome& out = run.outcomes[i];
+      out.result = sessions[i]->TakeResult();
+      out.transport = sessions[i]->transport()->Stats();
+      if (const auto* quota = sessions[i]->transport()->quota()) {
+        out.quota_used_today = quota->used_today();
+      }
+      run.finish_order.push_back(i);
+      done[i] = 1;
+      --running;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (!pending[i]) continue;
+      sessions[i]->ProcessPendingPage();
+      pending[i] = 0;
+    }
+  }
+  run.cache = cache.stats();
+  return run;
+}
+
+TEST(CrawlServiceTest, PageMemoFleetWithFaultsMatchesMemolessSessions) {
+  // Tenants share one Jaccard plan, so most pages repeat across sessions
+  // and are matched once through the service's page memo. Per-tenant
+  // fault streams truncate and duplicate pages, so some tenants see page
+  // variants that must not share the full page's entry. Whatever the
+  // worker count, every observable must equal memo-less sessions driven
+  // through the same rounds, and each tenant's result must equal its spec
+  // crawled alone.
+  auto s = BuildGoldenScenario();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto sample = sample::BernoulliSample(*s->hidden, 0.025, 13);
+  auto plan_or =
+      CrawlPlan::Build(&s->local,
+                       GoldenOptions(*s, SelectionPolicy::kEstBiased,
+                                     match::ErMode::kJaccard),
+                       &sample);
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  std::shared_ptr<const CrawlPlan> plan = std::move(plan_or).value();
+
+  const size_t budgets[] = {30, 12, 25, 30, 7, 18, 30, 20};
+  std::vector<SessionSpec> specs;
+  for (size_t i = 0; i < std::size(budgets); ++i) {
+    SessionSpec spec;
+    spec.plan = plan;
+    spec.budget = budgets[i];
+    spec.transport.daily_quota = 100;  // never rejects; meters deltas
+    // Even tenants see clean pages; odd ones get truncated and duplicated
+    // pages from their own seeded fault stream.
+    if (i % 2 == 1) {
+      spec.transport.inject_faults = true;
+      spec.transport.fault.truncate_rate = 0.3;
+      spec.transport.fault.duplicate_rate = 0.3;
+      spec.transport.fault.seed = 100 + i;
+    }
+    specs.push_back(std::move(spec));
+  }
+
+  const FleetRun ref = RunMemolessRounds(s->hidden.get(), specs);
+  ASSERT_EQ(ref.finish_order.size(), specs.size());
+  size_t truncated = 0;
+  size_t duplicated = 0;
+  for (const SessionOutcome& out : ref.outcomes) {
+    truncated += out.transport.fault.truncated_pages;
+    duplicated += out.transport.fault.duplicated_pages;
+  }
+  EXPECT_GT(truncated, 0u);
+  EXPECT_GT(duplicated, 0u);
+
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("alone " + std::to_string(i));
+    CrawlSession alone(*plan);
+    alone.AttachTransport(s->hidden.get(), specs[i].transport);
+    auto result = alone.Crawl(specs[i].budget);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Fingerprint(*result), Fingerprint(ref.outcomes[i].result));
+  }
+
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CrawlServiceOptions sopt;
+    sopt.num_threads = threads;
+    CrawlService service(s->hidden.get(), sopt);
+    FleetRun got;
+    got.outcomes.resize(specs.size());
+    Status st = service.Drive(specs, [&](size_t i, SessionOutcome out) {
+      got.finish_order.push_back(i);
+      got.outcomes[i] = std::move(out);
+    });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    got.cache = *service.shared_cache_stats();
+
+    // The memo really shared pages, and its entries are gone once the
+    // run ended.
+    const PageMatchMemo::Stats memo = service.page_memo_stats();
+    EXPECT_GT(memo.hits, 0u);
+    EXPECT_GT(memo.misses, 0u);
+    EXPECT_EQ(memo.entries, 0u);
+
+    EXPECT_EQ(got.finish_order, ref.finish_order);
+    EXPECT_EQ(got.cache.hits, ref.cache.hits);
+    EXPECT_EQ(got.cache.misses, ref.cache.misses);
+    EXPECT_EQ(got.cache.evictions, ref.cache.evictions);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("session " + std::to_string(i));
+      const SessionOutcome& g = got.outcomes[i];
+      const SessionOutcome& r = ref.outcomes[i];
+      ASSERT_TRUE(g.status.ok()) << g.status.ToString();
+      EXPECT_EQ(g.result.queries_issued, r.result.queries_issued);
+      EXPECT_EQ(g.result.stats.pq_recomputes, r.result.stats.pq_recomputes);
+      EXPECT_EQ(g.result.stats.records_fetched,
+                r.result.stats.records_fetched);
+      EXPECT_EQ(g.quota_used_today, r.quota_used_today);
+      EXPECT_EQ(g.transport.fault.truncated_pages,
+                r.transport.fault.truncated_pages);
+      EXPECT_EQ(g.transport.fault.duplicated_pages,
+                r.transport.fault.duplicated_pages);
+      EXPECT_EQ(Fingerprint(g.result), Fingerprint(r.result));
+    }
+  }
 }
 
 }  // namespace

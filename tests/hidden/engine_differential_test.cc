@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,18 @@
 namespace smartcrawl::hidden {
 namespace {
 
+// gtest names each case by a byte dump of its GridParams, so the struct
+// has no padding: `name_tag` fills the four bytes after `mode`. Padding
+// would dump whatever the stack held and rename the case on every build;
+// the tags hold the bytes of the case names as first recorded.
 struct GridParams {
   HiddenDatabaseOptions::Mode mode;
+  uint32_t name_tag;
   double fraction;  // semi-conjunctive bar
   size_t k;
   uint64_t seed;
 };
+static_assert(sizeof(GridParams) == 32, "GridParams must have no padding");
 
 class EngineDifferentialTest : public ::testing::TestWithParam<GridParams> {
 };
@@ -122,16 +129,19 @@ TEST_P(EngineDifferentialTest, SearchMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     ModeGrid, EngineDifferentialTest,
     ::testing::Values(
-        GridParams{HiddenDatabaseOptions::Mode::kConjunctive, 1.0, 10, 1},
-        GridParams{HiddenDatabaseOptions::Mode::kConjunctive, 1.0, 1, 2},
-        GridParams{HiddenDatabaseOptions::Mode::kConjunctive, 1.0, 200, 3},
-        GridParams{HiddenDatabaseOptions::Mode::kDisjunctive, 1.0, 25, 4},
-        GridParams{HiddenDatabaseOptions::Mode::kSemiConjunctive, 0.9, 10,
+        GridParams{HiddenDatabaseOptions::Mode::kConjunctive, 0x55AE, 1.0,
+                   10, 1},
+        GridParams{HiddenDatabaseOptions::Mode::kConjunctive, 0x55AE, 1.0, 1,
+                   2},
+        GridParams{HiddenDatabaseOptions::Mode::kConjunctive, 0, 1.0, 200, 3},
+        GridParams{HiddenDatabaseOptions::Mode::kDisjunctive, 0x7FFE, 1.0, 25,
+                   4},
+        GridParams{HiddenDatabaseOptions::Mode::kSemiConjunctive, 0, 0.9, 10,
                    5},
-        GridParams{HiddenDatabaseOptions::Mode::kSemiConjunctive, 0.5, 40,
-                   6},
-        GridParams{HiddenDatabaseOptions::Mode::kSemiConjunctive, 0.75, 3,
-                   7}));
+        GridParams{HiddenDatabaseOptions::Mode::kSemiConjunctive, 0x55AE, 0.5,
+                   40, 6},
+        GridParams{HiddenDatabaseOptions::Mode::kSemiConjunctive, 0x7FFE,
+                   0.75, 3, 7}));
 
 }  // namespace
 }  // namespace smartcrawl::hidden

@@ -20,13 +20,26 @@ TEST(DocumentTest, FromTextInterns) {
   EXPECT_TRUE(d.Contains(*dict.Lookup("house")));
 }
 
-TEST(DocumentTest, FromTextFrozenDropsUnknown) {
+TEST(DocumentTest, FromTextFrozenCountsUnknown) {
   TermDictionary dict;
   dict.Intern("thai");
   dict.Intern("house");
-  Document d = Document::FromTextFrozen("Thai Steak House", dict);
-  EXPECT_EQ(d.size(), 2u);
+  Document local = Document::FromTextFrozen("Thai House", dict);
+  Document d = Document::FromTextFrozen("Thai Steak House steak", dict);
+  // "steak" is unseen: counted once (with an id past the dictionary), so
+  // the Jaccard denominator matches interning, but it matches nothing.
+  EXPECT_EQ(d.size(), 3u);
+  EXPECT_GE(d.terms().back(), dict.size());
+  EXPECT_EQ(d.IntersectionSize(local), 2u);
+  EXPECT_DOUBLE_EQ(d.Jaccard(local), 2.0 / 3.0);
   EXPECT_FALSE(dict.Lookup("steak").has_value());  // dictionary untouched
+  EXPECT_EQ(dict.size(), 2u);
+
+  // Distinct unseen tokens get distinct ids; an all-unknown text still
+  // has its full size.
+  Document unknown = Document::FromTextFrozen("steak grill steak bar", dict);
+  EXPECT_EQ(unknown.size(), 3u);
+  EXPECT_EQ(unknown.IntersectionSize(local), 0u);
 }
 
 TEST(DocumentTest, ContainsAllConjunctiveSemantics) {
