@@ -20,11 +20,9 @@
 ///                                the raw set kernels by dispatch tier
 ///                                (arg 0 = scalar, 1 = SSE4.2, 2 = AVX2);
 ///                                tiers the host lacks are not registered.
-///   * BM_PqRepairDrain_*       — the greedy drain loop over the fan-out
-///                                model: point repair (MarkDirty +
-///                                recompute-on-pop) vs batched eager
-///                                frontier repair on a 1- or 4-thread
-///                                dedicated pool.
+///   * BM_PqRepairDrain_Point   — the greedy drain loop over the fan-out
+///                                model with point repair (MarkDirty +
+///                                recompute-on-pop).
 ///   * BM_CrawlerInit / BM_EndToEndCrawl — macro check that the substrate
 ///                                helps a real crawl, not just microloops.
 ///
@@ -56,7 +54,6 @@
 #include "sample/sampler.h"
 #include "text/document.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -390,36 +387,22 @@ void BM_RemoveRecordsFanout_Csr(benchmark::State& state) {
 }
 BENCHMARK(BM_RemoveRecordsFanout_Csr);
 
-// ---- Priority-queue repair: point (lazy) vs batched (eager) -------------
+// ---- Priority-queue repair: lazy point repair under a deep drain --------
 //
-// The deep-drain regime over the fan-out model above — the shape batched
-// repair is built for: a bulk retirement dirties most of the queue (every
-// record's delta decrements land before the next selection), then the
-// greedy drain pops many winners. Point repair marks each dirtied id and
-// pays recompute + re-push + re-pop at the top of the heap, inside the
-// drain loop, in heap order; batched repair re-estimates the deduplicated
-// frontier once, eagerly, in canonical index order (optionally on a
-// dedicated pool, grain 256 — the same constants as
-// CrawlSession::RepairBatch), after which the drain pops clean entries.
-// Selection is bit-identical across all three variants by construction
-// (asserted by BatchedRepairTest); this benchmark prices that identity.
-// In shallow-pop regimes (one pop per small frontier) lazy point repair
-// does strictly fewer recomputes — see bench/README.md for when each mode
-// wins; the crawler defaults to batched for determinism at any thread
-// count.
+// The deep-drain regime over the fan-out model above: a bulk retirement
+// dirties most of the queue (every record's delta decrements land before
+// the next selection), then the greedy drain pops every query. Each
+// dirtied id is marked and pays recompute + re-push + re-pop when it
+// reaches the top of the heap, inside the drain loop — exactly what
+// CrawlSession does after each page.
 
-void PqRepairDrainBench(benchmark::State& state, bool batched,
-                        unsigned threads) {
+void BM_PqRepairDrain_Point(benchmark::State& state) {
   const FanoutFixture& f = BuildFanoutFixture();
   const auto queries = static_cast<uint32_t>(f.inter0.size());
-  constexpr size_t kRepairGrain = 256;  // mirrors CrawlSession::RepairBatch
   std::span<const uint32_t> fwd = f.forward.values();
-  std::unique_ptr<util::ThreadPool> pool;
-  if (batched && threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
 
   std::vector<uint32_t> inter;
   std::vector<uint32_t> frontier;
-  std::vector<double> buf;
   std::vector<uint8_t> stamp(queries, 0);
   size_t recomputes = 0;
   size_t popped = 0;
@@ -444,30 +427,12 @@ void PqRepairDrainBench(benchmark::State& state, bool batched,
       }
     }
     for (uint32_t q : frontier) stamp[q] = 0;
-    if (!batched) {
-      for (uint32_t q : frontier) pq.MarkDirty(q);
-    } else {
-      std::sort(frontier.begin(), frontier.end());
-      buf.resize(frontier.size());
-      if (pool != nullptr && frontier.size() > kRepairGrain) {
-        pool->ParallelFor(0, frontier.size(), kRepairGrain, [&](size_t i) {
-          buf[i] = static_cast<double>(inter[frontier[i]]);
-        });
-      } else {
-        for (size_t i = 0; i < frontier.size(); ++i) {
-          buf[i] = static_cast<double>(inter[frontier[i]]);
-        }
-      }
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        pq.Update(frontier[i], buf[i]);
-      }
-      recomputes += frontier.size();
-    }
+    for (uint32_t q : frontier) pq.MarkDirty(q);
     // Deep drain: pop every query in repaired order.
     uint32_t id = 0;
     double p = 0.0;
     while (pq.PopMax(&id, &p)) ++popped;
-    recomputes += pq.num_recomputes();  // point mode: lazy on-pop repairs
+    recomputes += pq.num_recomputes();
   }
   const auto iters =
       static_cast<double>(std::max<int64_t>(1, state.iterations()));
@@ -476,17 +441,7 @@ void PqRepairDrainBench(benchmark::State& state, bool batched,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries));
 }
-
-void BM_PqRepairDrain_Point(benchmark::State& state) {
-  PqRepairDrainBench(state, /*batched=*/false, /*threads=*/1);
-}
 BENCHMARK(BM_PqRepairDrain_Point);
-
-void BM_PqRepairDrain_Batched(benchmark::State& state) {
-  PqRepairDrainBench(state, /*batched=*/true,
-                     static_cast<unsigned>(state.range(0)));
-}
-BENCHMARK(BM_PqRepairDrain_Batched)->Arg(1)->Arg(4);
 
 // ---- Macro benchmarks ---------------------------------------------------
 

@@ -1,16 +1,10 @@
 /// Build-phase benchmarks (google-benchmark): parallel FP-growth projection
-/// mining, the flat first-child/next-sibling FP-tree against the hashmap
-/// child-edge tree it replaced, and the crawler setup stages that now share
-/// one thread pool.
+/// mining over the flat first-child/next-sibling FP-tree, and the crawler
+/// setup stages that share one thread pool.
 ///
 ///   * BM_MineFpGrowth/{1,2,4}     — the shipped miner (flat tree, scratch
 ///                                   reuse, parallel projection mining) at
 ///                                   1/2/4 worker threads.
-///   * BM_MineFpGrowth_LegacyHashTree — self-contained copy of the pre-flat
-///                                   miner: per-edge unordered_map children,
-///                                   fresh vectors per conditional pattern,
-///                                   sequential top-level loop. Reference
-///                                   for the sequential flat-vs-hashmap win.
 ///   * BM_GenerateQueryPool/{1,2,4} — full pool generation (transactions,
 ///                                   mining, postings, dominance pruning)
 ///                                   on one shared pool.
@@ -31,7 +25,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,255 +52,6 @@ size_t ScaledN(size_t paper_value) {
   auto out = static_cast<size_t>(v + 0.5);
   return out < 64 ? 64 : out;
 }
-
-// ---- Legacy miner: the pre-flat FP-tree, kept verbatim as reference -----
-//
-// Hashmap child edges keyed by (parent, item), a fresh vector per
-// conditional path, a fresh tree per projection — the allocation profile
-// the flat arena + PatternBase + MinerScratch replaced. Output is
-// identical to the shipped miner at num_threads=1, which the determinism
-// suite pins; this copy exists only so the layout comparison stays
-// runnable after the old code is gone.
-
-namespace legacy {
-
-constexpr uint32_t kNoNode = static_cast<uint32_t>(-1);
-constexpr uint32_t kNoItem = static_cast<uint32_t>(-1);
-
-struct Node {
-  uint32_t item = kNoItem;
-  uint32_t count = 0;
-  uint32_t parent = kNoNode;
-  uint32_t sibling = kNoNode;  // node-link to next node with the same item
-};
-
-class FpTree {
- public:
-  explicit FpTree(uint32_t num_items)
-      : heads_(num_items, kNoNode), item_counts_(num_items, 0) {
-    nodes_.push_back(Node{});  // root at index 0
-  }
-
-  void Insert(const std::vector<uint32_t>& txn, uint32_t count) {
-    uint32_t cur = 0;
-    for (uint32_t item : txn) {
-      uint32_t child = FindChild(cur, item);
-      if (child == kNoNode) {
-        child = static_cast<uint32_t>(nodes_.size());
-        nodes_.push_back(Node{item, 0, cur, heads_[item]});
-        heads_[item] = child;
-        children_.emplace(Key(cur, item), child);
-      }
-      nodes_[child].count += count;
-      item_counts_[item] += count;
-      cur = child;
-    }
-  }
-
-  uint32_t ItemCount(uint32_t item) const { return item_counts_[item]; }
-  uint32_t num_items() const { return static_cast<uint32_t>(heads_.size()); }
-
-  bool IsSinglePath() const {
-    for (uint32_t i = 1; i < nodes_.size(); ++i) {
-      if (nodes_[i].parent != i - 1) return false;
-    }
-    return true;
-  }
-
-  std::vector<std::pair<uint32_t, uint32_t>> SinglePathItems() const {
-    std::vector<std::pair<uint32_t, uint32_t>> out;
-    for (size_t i = 1; i < nodes_.size(); ++i) {
-      out.emplace_back(nodes_[i].item, nodes_[i].count);
-    }
-    return out;
-  }
-
-  void ConditionalPatterns(
-      uint32_t item,
-      std::vector<std::pair<std::vector<uint32_t>, uint32_t>>* out) const {
-    out->clear();
-    for (uint32_t n = heads_[item]; n != kNoNode; n = nodes_[n].sibling) {
-      std::vector<uint32_t> path;
-      for (uint32_t p = nodes_[n].parent; p != 0; p = nodes_[p].parent) {
-        path.push_back(nodes_[p].item);
-      }
-      std::reverse(path.begin(), path.end());
-      out->emplace_back(std::move(path), nodes_[n].count);
-    }
-  }
-
- private:
-  static uint64_t Key(uint32_t parent, uint32_t item) {
-    return (static_cast<uint64_t>(parent) << 32) | item;
-  }
-  uint32_t FindChild(uint32_t parent, uint32_t item) const {
-    auto it = children_.find(Key(parent, item));
-    return it == children_.end() ? kNoNode : it->second;
-  }
-
-  std::vector<Node> nodes_;
-  std::vector<uint32_t> heads_;
-  std::vector<uint32_t> item_counts_;
-  std::unordered_map<uint64_t, uint32_t> children_;
-};
-
-class Miner {
- public:
-  Miner(const fpm::MiningOptions& options,
-        const std::vector<text::TermId>& terms)
-      : options_(options), rank_to_term_(terms) {}
-
-  bool Emit(const std::vector<uint32_t>& suffix_ranks, uint32_t support) {
-    if (options_.max_results != 0 &&
-        result_.itemsets.size() >= options_.max_results) {
-      result_.truncated = true;
-      return false;
-    }
-    fpm::FrequentItemset fis;
-    fis.support = support;
-    fis.items.reserve(suffix_ranks.size());
-    for (uint32_t r : suffix_ranks) fis.items.push_back(rank_to_term_[r]);
-    std::sort(fis.items.begin(), fis.items.end());
-    result_.itemsets.push_back(std::move(fis));
-    return true;
-  }
-
-  bool Mine(const FpTree& tree, std::vector<uint32_t>* suffix) {
-    if (options_.max_itemset_size != 0 &&
-        suffix->size() >= options_.max_itemset_size) {
-      return true;
-    }
-    if (tree.IsSinglePath()) {
-      return MineSinglePath(tree, suffix);
-    }
-    for (uint32_t item = tree.num_items(); item-- > 0;) {
-      uint32_t support = tree.ItemCount(item);
-      if (support < options_.min_support) continue;
-      suffix->push_back(item);
-      if (!Emit(*suffix, support)) {
-        suffix->pop_back();
-        return false;
-      }
-      if (options_.max_itemset_size == 0 ||
-          suffix->size() < options_.max_itemset_size) {
-        std::vector<std::pair<std::vector<uint32_t>, uint32_t>> patterns;
-        tree.ConditionalPatterns(item, &patterns);
-        std::vector<uint32_t> cond_counts(item, 0);
-        for (const auto& [path, count] : patterns) {
-          for (uint32_t i : path) cond_counts[i] += count;
-        }
-        bool any = false;
-        for (uint32_t c : cond_counts) {
-          if (c >= options_.min_support) {
-            any = true;
-            break;
-          }
-        }
-        if (any) {
-          FpTree cond_tree(item);
-          std::vector<uint32_t> filtered;
-          for (const auto& [path, count] : patterns) {
-            filtered.clear();
-            for (uint32_t i : path) {
-              if (cond_counts[i] >= options_.min_support) {
-                filtered.push_back(i);
-              }
-            }
-            if (!filtered.empty()) cond_tree.Insert(filtered, count);
-          }
-          if (!Mine(cond_tree, suffix)) {
-            suffix->pop_back();
-            return false;
-          }
-        }
-      }
-      suffix->pop_back();
-    }
-    return true;
-  }
-
-  bool MineSinglePath(const FpTree& tree, std::vector<uint32_t>* suffix) {
-    auto chain = tree.SinglePathItems();
-    std::vector<std::pair<uint32_t, uint32_t>> items;
-    for (auto& [item, count] : chain) {
-      if (count >= options_.min_support) items.emplace_back(item, count);
-    }
-    return EnumerateSubsets(items, 0, ~uint32_t{0}, suffix);
-  }
-
-  bool EnumerateSubsets(
-      const std::vector<std::pair<uint32_t, uint32_t>>& items, size_t pos,
-      uint32_t min_count, std::vector<uint32_t>* suffix) {
-    if (options_.max_itemset_size != 0 &&
-        suffix->size() >= options_.max_itemset_size) {
-      return true;
-    }
-    for (size_t i = pos; i < items.size(); ++i) {
-      uint32_t new_min = std::min(min_count, items[i].second);
-      suffix->push_back(items[i].first);
-      if (!Emit(*suffix, new_min)) {
-        suffix->pop_back();
-        return false;
-      }
-      if (!EnumerateSubsets(items, i + 1, new_min, suffix)) {
-        suffix->pop_back();
-        return false;
-      }
-      suffix->pop_back();
-    }
-    return true;
-  }
-
-  fpm::MiningResult Take() { return std::move(result_); }
-
- private:
-  const fpm::MiningOptions& options_;
-  const std::vector<text::TermId>& rank_to_term_;
-  fpm::MiningResult result_;
-};
-
-fpm::MiningResult MineFrequentItemsets(
-    const std::vector<std::vector<text::TermId>>& transactions,
-    const fpm::MiningOptions& options) {
-  std::unordered_map<text::TermId, uint32_t> freq;
-  for (const auto& txn : transactions) {
-    for (text::TermId t : txn) ++freq[t];
-  }
-  std::vector<std::pair<text::TermId, uint32_t>> frequent;
-  for (const auto& [t, c] : freq) {
-    if (c >= options.min_support) frequent.emplace_back(t, c);
-  }
-  std::sort(frequent.begin(), frequent.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  std::vector<text::TermId> rank_to_term(frequent.size());
-  std::unordered_map<text::TermId, uint32_t> term_to_rank;
-  term_to_rank.reserve(frequent.size() * 2);
-  for (uint32_t r = 0; r < frequent.size(); ++r) {
-    rank_to_term[r] = frequent[r].first;
-    term_to_rank.emplace(frequent[r].first, r);
-  }
-  FpTree tree(static_cast<uint32_t>(rank_to_term.size()));
-  std::vector<uint32_t> ranked;
-  for (const auto& txn : transactions) {
-    ranked.clear();
-    for (text::TermId t : txn) {
-      auto it = term_to_rank.find(t);
-      if (it != term_to_rank.end()) ranked.push_back(it->second);
-    }
-    std::sort(ranked.begin(), ranked.end());
-    ranked.erase(std::unique(ranked.begin(), ranked.end()), ranked.end());
-    if (!ranked.empty()) tree.Insert(ranked, 1);
-  }
-  Miner miner(options, rank_to_term);
-  std::vector<uint32_t> suffix;
-  miner.Mine(tree, &suffix);
-  return miner.Take();
-}
-
-}  // namespace legacy
 
 // ---- Mining fixture: Zipf-skewed transactions ---------------------------
 //
@@ -361,21 +105,6 @@ void BM_MineFpGrowth(benchmark::State& state) {
 }
 BENCHMARK(BM_MineFpGrowth)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-/// The pre-flat reference on the same corpus (sequential by construction).
-void BM_MineFpGrowth_LegacyHashTree(benchmark::State& state) {
-  const MiningFixture& f = BuildMiningFixture();
-  size_t itemsets = 0;
-  for (auto _ : state) {
-    fpm::MiningResult r = legacy::MineFrequentItemsets(f.txns, f.options);
-    itemsets = r.itemsets.size();
-    benchmark::DoNotOptimize(r.itemsets.data());
-  }
-  state.counters["itemsets"] = static_cast<double>(itemsets);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.txns.size()));
-}
-BENCHMARK(BM_MineFpGrowth_LegacyHashTree)->Unit(benchmark::kMillisecond);
 
 // ---- Pool generation ----------------------------------------------------
 

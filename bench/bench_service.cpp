@@ -9,39 +9,29 @@
 ///                              `create_over_session` counter is the measured
 ///                              Build()/session ratio — the redesign's
 ///                              contract is that it stays >= 10x.
-///   * BM_FleetRoundBased/threads:{1,4}/shards:{1,8}
-///   * BM_FleetPipelined/threads:{1,4}/shards:{1,8}
+///   * BM_Fleet/threads:{1,4}
 ///                            — a ~1k-session tenant fleet over 8 distinct
 ///                              plans (4 policies x 2 ER modes) driven to
 ///                              completion through one CrawlService behind
-///                              the shared cross-tenant cache, in the
-///                              round-based reference mode vs the pipelined
-///                              default (see docs/architecture.md §6), at
-///                              1 and 4 worker threads and 1 and 8 cache
-///                              shards. Results are bit-identical across
-///                              the whole grid (pinned by
+///                              the shared cross-tenant cache (see
+///                              docs/architecture.md §6) at 1 and 4 worker
+///                              threads. Results are bit-identical across
+///                              thread counts (pinned by
 ///                              tests/core/crawl_service_test.cc); only
 ///                              throughput differs. Counters:
 ///                                - sessions_per_sec: fleet size over the
 ///                                  DRIVING thread's CPU time (the repo's
 ///                                  kIsRate convention, same as
-///                                  BENCH_threads) — the driver-offload
-///                                  win, meaningful even on a 1-core host;
+///                                  BENCH_threads) — how cheap the driver
+///                                  is, meaningful even on a 1-core host;
 ///                                - wall_sessions_per_sec: fleet size over
-///                                  wall-clock time — the end-to-end win,
-///                                  expect ~parity on a 1-core host and a
-///                                  real gap only with >1 core;
-///                                - cache_hit_rate (> 0 by construction),
-///                                  shards_used / shard_max_fill (stripe
-///                                  balance of the sharded cache).
+///                                  wall-clock time — the end-to-end rate;
+///                                - cache_hit_rate (> 0 by construction).
 ///
 /// Scaling: sizes honor SC_SCALE like the figure drivers (default 0.3);
-/// `--smoke` forces SC_SCALE=0.05 for CI schema validation (where the CI
-/// job also asserts pipelined >= round-based on sessions_per_sec). The
-/// committed bench/BENCH_service.json is generated at SC_SCALE=1.0 with a
-/// 10s min time so every fleet config averages several iterations (the
-/// mode gap at 1 thread is a few percent — single-iteration numbers on a
-/// busy host can flip it):
+/// `--smoke` forces SC_SCALE=0.05 for CI schema validation. The committed
+/// bench/BENCH_service.json is generated at SC_SCALE=1.0 with a 10s min
+/// time so every fleet config averages several iterations:
 ///   SC_SCALE=1.0 bench_service --benchmark_min_time=10
 ///       --benchmark_out=bench/BENCH_service.json
 ///       --benchmark_out_format=json   (one command line)
@@ -168,7 +158,7 @@ void BM_SessionConstruct(benchmark::State& state) {
 BENCHMARK(BM_SessionConstruct)->Unit(benchmark::kMicrosecond);
 
 /// The session specs every fleet configuration shares (built once: plan
-/// construction dominates setup and is identical for every grid point).
+/// construction dominates setup and is identical for every thread count).
 const std::vector<core::SessionSpec>& FleetSpecs() {
   static const std::vector<core::SessionSpec>* specs = [] {
     World& w = TheWorld();
@@ -195,26 +185,21 @@ const std::vector<core::SessionSpec>& FleetSpecs() {
   return *specs;
 }
 
-/// One fleet run per iteration: args are (worker threads, cache shards);
-/// the drive mode is the benchmark's identity. sessions_per_sec follows
-/// the repo's kIsRate convention (the driving thread's CPU time — pool
-/// and issuer threads are deliberately NOT counted, so the counter reads
-/// as "how cheap is the driver"); wall_sessions_per_sec is the end-to-end
-/// rate, measured manually over wall time.
-void RunFleet(benchmark::State& state, core::DriveMode mode) {
+/// One fleet run per iteration: the arg is the worker thread count.
+/// sessions_per_sec follows the repo's kIsRate convention (the driving
+/// thread's CPU time — pool threads are deliberately NOT counted, so the
+/// counter reads as "how cheap is the driver"); wall_sessions_per_sec is
+/// the end-to-end rate, measured manually over wall time.
+void BM_Fleet(benchmark::State& state) {
   World& w = TheWorld();
   const std::vector<core::SessionSpec>& specs = FleetSpecs();
 
   size_t sessions_done = 0;
   double hit_rate = 0.0;
-  double shards_used = 0.0;
-  double shard_max_fill = 0.0;
   double wall_seconds = 0.0;
   for (auto _ : state) {
     core::CrawlServiceOptions sopt;
-    sopt.drive_mode = mode;
     sopt.num_threads = static_cast<unsigned>(state.range(0));
-    sopt.shared_cache_shards = static_cast<size_t>(state.range(1));
     core::CrawlService service(w.scenario.hidden.get(), sopt);
     StopWatch sw;
     auto outcomes = service.RunAll(specs);
@@ -225,13 +210,6 @@ void RunFleet(benchmark::State& state, core::DriveMode mode) {
     }
     sessions_done += outcomes->size();
     hit_rate = service.shared_cache_stats()->hit_rate();
-    shards_used = 0.0;
-    shard_max_fill = 0.0;
-    for (const auto& shard : service.shared_cache_shard_stats()) {
-      if (shard.size > 0) shards_used += 1.0;
-      shard_max_fill =
-          std::max(shard_max_fill, static_cast<double>(shard.size));
-    }
   }
   state.counters["sessions_per_sec"] = benchmark::Counter(
       static_cast<double>(sessions_done), benchmark::Counter::kIsRate);
@@ -240,24 +218,11 @@ void RunFleet(benchmark::State& state, core::DriveMode mode) {
                        : 0.0;
   state.counters["cache_hit_rate"] = hit_rate;
   state.counters["num_sessions"] = static_cast<double>(specs.size());
-  state.counters["shards_used"] = shards_used;
-  state.counters["shard_max_fill"] = shard_max_fill;
 }
-
-void BM_FleetRoundBased(benchmark::State& state) {
-  RunFleet(state, core::DriveMode::kRoundBased);
-}
-BENCHMARK(BM_FleetRoundBased)
-    ->ArgsProduct({{1, 4}, {1, 8}})
-    ->ArgNames({"threads", "shards"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FleetPipelined(benchmark::State& state) {
-  RunFleet(state, core::DriveMode::kPipelined);
-}
-BENCHMARK(BM_FleetPipelined)
-    ->ArgsProduct({{1, 4}, {1, 8}})
-    ->ArgNames({"threads", "shards"})
+BENCHMARK(BM_Fleet)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

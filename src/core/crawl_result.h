@@ -35,7 +35,10 @@ struct CrawlStats {
   /// Queries in the generated pool (|Q|).
   size_t pool_size = 0;
   /// Lazy-priority-queue repairs performed ("t" in the paper's analysis:
-  /// how often a stale top element had to be recomputed).
+  /// how often a dirty top element had to be recomputed on pop). Repair
+  /// is on demand only (LazyPriorityQueue::MarkDirty), so this counts
+  /// exactly the recomputes selection needed; cumulative over a resumed
+  /// session's calls.
   size_t pq_recomputes = 0;
   /// UNIQUE queries dirtied per crawl iteration, summed over iterations —
   /// the delta-update fan-out as the priority queue actually sees it

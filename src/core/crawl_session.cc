@@ -7,7 +7,6 @@
 #include "core/page_match_memo.h"
 #include "util/result.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 /// \file crawl_session.cc
 /// The crawl loop of SmartCrawler::Crawl, decomposed into Begin /
@@ -33,13 +32,6 @@ CrawlSession::CrawlSession(const CrawlPlan& plan, PageMatchMemo* page_memo)
 void CrawlSession::AttachTransport(hidden::KeywordSearchInterface* origin,
                                    const net::TransportOptions& options) {
   transport_ = std::make_unique<net::TransportStack>(origin, options);
-}
-
-void CrawlSession::ConfigureRepair(PqRepairMode mode,
-                                   util::ThreadPool* repair_pool) {
-  assert(!pending_ && "reconfigure repair between crawls, not mid-step");
-  repair_mode_ = mode;
-  repair_pool_ = mode == PqRepairMode::kBatched ? repair_pool : nullptr;
 }
 
 double CrawlSession::PriorityOf(QueryIdx q) const {
@@ -98,37 +90,6 @@ void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
         dirtied->push_back(q);
       }
     }
-  }
-}
-
-void CrawlSession::RepairBatch(const std::vector<QueryIdx>& dirtied) {
-  // Retired queries (popped and never re-pushed) need no repair; filter
-  // them out so the parallel sweep only spends work on live entries.
-  repair_ids_.clear();
-  for (QueryIdx q : dirtied) {
-    if (pq_->IsLive(q)) repair_ids_.push_back(q);
-  }
-  const size_t n = repair_ids_.size();
-  if (n == 0) return;
-  repair_buf_.resize(n);
-  // PriorityOf reads only session state that is quiescent here (the
-  // removal fan-out above already finished), so the chunks are pure and
-  // the buffer slots disjoint — any thread count produces the same bytes.
-  constexpr size_t kRepairGrain = 256;
-  if (repair_pool_ != nullptr && n > kRepairGrain) {
-    repair_pool_->ParallelFor(0, n, kRepairGrain, [this](size_t i) {
-      repair_buf_[i] = PriorityOf(repair_ids_[i]);
-    });
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      repair_buf_[i] = PriorityOf(repair_ids_[i]);
-    }
-  }
-  batch_recomputes_ += n;
-  // Canonical writeback: repair_ids_ is sorted ascending (inherited from
-  // the deduplicated frontier), so heap mutation order is scheduling-free.
-  for (size_t i = 0; i < n; ++i) {
-    pq_->Update(repair_ids_[i], repair_buf_[i]);
   }
 }
 
@@ -312,11 +273,7 @@ void CrawlSession::ProcessPendingPage() {
   dirtied.erase(std::unique(dirtied.begin(), dirtied.end()), dirtied.end());
   result_.stats.fanout_updates += dirtied.size();
   result_.stats.records_fetched += page.size();
-  if (repair_mode_ == PqRepairMode::kBatched) {
-    RepairBatch(dirtied);
-  } else {
-    for (QueryIdx dq : dirtied) pq_->MarkDirty(dq);
-  }
+  for (QueryIdx dq : dirtied) pq_->MarkDirty(dq);
 
   pending_ = false;
   // clear() keeps the capacity: the next IssueNext move-assigns a fresh
@@ -331,12 +288,8 @@ CrawlResult CrawlSession::TakeResult() {
   }
   const index::KernelStats& kernels = plan_->build_kernel_stats();
   result_.stats.pool_size = plan_->pool().size();
-  // Lifetime repair work under either mode: on-pop repairs (kPoint, and
-  // any MarkDirty traffic predating a mode switch) plus eager frontier
-  // recomputes (kBatched).
-  result_.stats.pq_recomputes =
-      (pq_ ? pq_->num_recomputes() : 0) +
-      static_cast<size_t>(batch_recomputes_);
+  // Lifetime on-pop repairs (see LazyPriorityQueue::num_recomputes).
+  result_.stats.pq_recomputes = pq_ ? pq_->num_recomputes() : 0;
   result_.stats.kernel_galloping = kernels.galloping;
   result_.stats.kernel_merge = kernels.merge;
   result_.stats.kernel_bitmap = kernels.bitmap;

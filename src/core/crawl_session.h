@@ -42,34 +42,14 @@
 ///    implemented on top of the step API, so both paths execute the same
 ///    code and produce bit-identical results.
 ///
-/// Priority-queue repair after each removal fan-out runs in one of two
-/// modes (ConfigureRepair):
-///  * kPoint — the paper's on-demand scheme: MarkDirty per dirtied query,
-///    recompute when a dirty entry reaches the top.
-///  * kBatched (default) — the deduplicated dirty frontier of the step is
-///    re-estimated in one pass (a deterministic util::ParallelFor into an
-///    index-addressed buffer when a repair pool is attached) and written
-///    back through LazyPriorityQueue::Update in ascending query order.
-///    Selection is bit-identical to kPoint at any thread count: a query's
-///    priority only changes when it is dirtied, so the value applied at
-///    dirtying time equals what recompute-on-pop would later produce
-///    (pinned by tests/core/batched_repair_test.cc); only the
-///    pq_recomputes accounting differs (eager frontier recomputes vs.
-///    on-pop repairs).
-
-namespace smartcrawl::util {
-class ThreadPool;
-}  // namespace smartcrawl::util
+/// Priority-queue repair after each removal fan-out is the paper's
+/// on-demand scheme (Sec. 6.3 / Algorithm 4): every dirtied query is
+/// marked through LazyPriorityQueue::MarkDirty and recomputed only when
+/// it reaches the top of the queue.
 
 namespace smartcrawl::core {
 
 class PageMatchMemo;
-
-/// How a session repairs dirtied priority-queue entries after removals.
-enum class PqRepairMode : uint8_t {
-  kPoint = 0,
-  kBatched = 1,
-};
 
 class CrawlSession {
  public:
@@ -118,7 +98,8 @@ class CrawlSession {
   Result<bool> IssueNext();
 
   /// The compute half of one iteration: logs the pending page, matches it,
-  /// applies the policy's removal rule and repairs the priority queue.
+  /// applies the policy's removal rule and marks the dirtied queries for
+  /// repair on pop.
   /// Touches only session-local state plus the const plan and the
   /// internally locked page memo, so concurrent sessions may run this on
   /// worker threads.
@@ -132,16 +113,6 @@ class CrawlSession {
 
   /// True once IssueNext declared the current crawl call over.
   bool finished() const { return finished_; }
-
-  /// Selects the repair mode (default kBatched) and, for kBatched, an
-  /// optional pool the frontier re-estimation runs on (nullptr = inline
-  /// on the calling thread; results are identical either way). The pool
-  /// must outlive the session and must NOT be the pool whose workers run
-  /// ProcessPendingPage — a pool cannot be re-entered from its own
-  /// workers (see util::ThreadPool; CrawlService keeps a dedicated
-  /// repair pool for exactly this reason). Call between crawls only.
-  void ConfigureRepair(PqRepairMode mode,
-                       util::ThreadPool* repair_pool = nullptr);
 
   // ----- owned transport ------------------------------------------------
 
@@ -172,11 +143,6 @@ class CrawlSession {
   void RemoveRecords(const std::vector<table::RecordId>& ids,
                      std::vector<QueryIdx>* dirtied);
 
-  /// kBatched repair: re-estimates the (sorted, deduplicated) live dirty
-  /// frontier into repair_buf_ — ParallelFor when a pool is attached —
-  /// and applies the values through pq_->Update in ascending query order.
-  void RepairBatch(const std::vector<QueryIdx>& dirtied);
-
   const CrawlPlan* plan_;
   PageMatchMemo* page_memo_;  // not owned; null = match on the plan
 
@@ -196,15 +162,6 @@ class CrawlSession {
 
   /// Selection state shared across Crawl() calls (resumability).
   std::unique_ptr<index::LazyPriorityQueue> pq_;
-  PqRepairMode repair_mode_ = PqRepairMode::kBatched;
-  util::ThreadPool* repair_pool_ = nullptr;  // not owned; kBatched only
-  /// Lifetime count of eager frontier recomputes (kBatched analogue of
-  /// LazyPriorityQueue::num_recomputes).
-  uint64_t batch_recomputes_ = 0;
-  /// Scratch for RepairBatch: index-addressed so parallel chunks write
-  /// disjoint slots and the writeback order is canonical.
-  std::vector<double> repair_buf_;
-  std::vector<QueryIdx> repair_ids_;
   /// Scratch for ProcessPendingPage's dirty frontier, reused across pages
   /// so steady-state page processing allocates nothing per round.
   std::vector<QueryIdx> dirty_frontier_;

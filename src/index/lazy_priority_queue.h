@@ -22,26 +22,9 @@
 /// stored priority below it, each of which upper-bounds its own true
 /// priority.
 ///
-/// Two repair styles share this container:
-///
-///  * Point repair — MarkDirty() per dirtied element, recompute-on-pop as
-///    above. The original scheme; strictly sequential.
-///  * Batched repair — the caller recomputes a whole dirty frontier at once
-///    (possibly in parallel, outside the queue) and applies the fresh values
-///    through Update(). Update never touches the heap structure: it pushes a
-///    duplicate entry and remembers the latest value in a side array, and
-///    PopMax() discards entries whose stored priority is not the latest
-///    (lazy deletion). Because an element's priority only changes when it is
-///    dirtied, the value Update applies at dirtying time equals the value
-///    recompute-on-pop would have produced at pop time — so both styles pop
-///    the same element sequence bit-for-bit (pinned by
-///    tests/core/batched_repair_test.cc).
-///
-/// Duplicate safety: values for one id strictly decrease across its
-/// Update chain, PopMax retires the id (IsLive()==false) when it wins, and
-/// Update refuses both non-live ids and unchanged values — so at any moment
-/// at most one heap entry per id passes the liveness+latest-value filter,
-/// and no id can be popped twice without an intervening Push.
+/// Callers mark every element a removal dirtied (MarkDirty) and never
+/// recompute eagerly; the recompute count is the repair work the crawl
+/// actually paid for (CrawlStats::pq_recomputes).
 
 namespace smartcrawl::index {
 
@@ -57,36 +40,16 @@ class LazyPriorityQueue {
   /// queue's lifetime unless re-pushed after a pop.
   void Push(uint32_t id, double priority) {
     heap_.push(Entry{priority, id});
-    EnsureSize(id);
-    live_[id] = 1;
-    current_[id] = priority;
+    if (id >= dirty_.size()) dirty_.resize(id + 1, 0);
   }
 
   /// Marks `id` stale: its stored priority may exceed its true priority.
-  /// (Point-repair style; pairs with recompute-on-pop.)
   void MarkDirty(uint32_t id) {
-    EnsureSize(id);
+    if (id >= dirty_.size()) dirty_.resize(id + 1, 0);
     dirty_[id] = 1;
   }
 
-  /// Applies a freshly recomputed priority for `id` (batched-repair style).
-  /// No-op for ids not currently in the queue and for unchanged values;
-  /// otherwise records `priority` as the latest value and pushes a
-  /// duplicate entry — the superseded entries are skipped on pop.
-  void Update(uint32_t id, double priority) {
-    if (!IsLive(id) || priority == current_[id]) return;
-    current_[id] = priority;
-    heap_.push(Entry{priority, id});
-  }
-
-  /// True while `id` has been pushed and not yet popped.
-  bool IsLive(uint32_t id) const {
-    return id < live_.size() && live_[id] != 0;
-  }
-
   bool empty() const { return heap_.empty(); }
-
-  /// Entries physically in the heap, superseded duplicates included.
   size_t size() const { return heap_.size(); }
 
   /// Pops the element with the (true) maximum priority. Returns false when
@@ -107,22 +70,9 @@ class LazyPriorityQueue {
     }
   };
 
-  void EnsureSize(uint32_t id) {
-    if (id >= dirty_.size()) {
-      dirty_.resize(id + 1, 0);
-      live_.resize(id + 1, 0);
-      current_.resize(id + 1, 0.0);
-    }
-  }
-
   RecomputeFn recompute_;
   std::priority_queue<Entry> heap_;
   std::vector<uint8_t> dirty_;
-  /// Lazy-deletion state: live_[id] says the id is logically queued;
-  /// current_[id] is the latest value applied via Push/Update/recompute.
-  /// Heap entries carrying any other value are superseded duplicates.
-  std::vector<uint8_t> live_;
-  std::vector<double> current_;
   size_t num_recomputes_ = 0;
 };
 
@@ -130,19 +80,12 @@ inline bool LazyPriorityQueue::PopMax(uint32_t* id, double* priority) {
   while (!heap_.empty()) {
     Entry top = heap_.top();
     heap_.pop();
-    // Lazy deletion: drop entries superseded by an Update (or left behind
-    // by a previous pop of this id). In point-repair use every entry is
-    // the sole one for its id, so both tests pass vacuously.
-    if (!IsLive(top.id) || top.priority != current_[top.id]) continue;
     if (dirty_[top.id]) {
       dirty_[top.id] = 0;
       ++num_recomputes_;
-      const double fresh = recompute_(top.id);
-      current_[top.id] = fresh;
-      heap_.push(Entry{fresh, top.id});
+      heap_.push(Entry{recompute_(top.id), top.id});
       continue;
     }
-    live_[top.id] = 0;
     *id = top.id;
     *priority = top.priority;
     return true;

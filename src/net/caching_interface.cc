@@ -2,23 +2,9 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace smartcrawl::net {
-
-CachingInterface::CachingInterface(hidden::KeywordSearchInterface* inner,
-                                   size_t capacity, size_t num_shards)
-    : inner_(inner),
-      capacity_(capacity),
-      shards_(capacity == 0 ? 0 : (num_shards == 0 ? 1 : num_shards)) {
-  // Capacity split: every shard gets floor(capacity / N), the remainder
-  // goes to the first shards — the shares always sum to `capacity`.
-  const size_t n = shards_.size();
-  for (size_t s = 0; s < n; ++s) {
-    shards_[s].capacity = capacity_ / n + (s < capacity_ % n ? 1 : 0);
-  }
-}
 
 std::string CachingInterface::NormalizedKey(
     const std::vector<std::string>& keywords) {
@@ -33,101 +19,49 @@ std::string CachingInterface::NormalizedKey(
   return Join(normalized, "\x1f");
 }
 
-size_t CachingInterface::ShardOf(const std::string& normalized_key,
-                                 size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // HashBytes64 depends only on the byte sequence, so routing is a pure
-  // function of (key, shard count): stable across runs and processes.
-  return static_cast<size_t>(
-      HashBytes64(normalized_key.data(), normalized_key.size()) %
-      num_shards);
-}
-
 Result<std::vector<table::Record>> CachingInterface::Search(
     const std::vector<std::string>& keywords) {
-  if (shards_.empty()) return inner_->Search(keywords);
+  if (capacity_ == 0) return inner_->Search(keywords);
 
   std::string key = NormalizedKey(keywords);
-  Shard& shard = shards_[ShardOf(key, shards_.size())];
-
-  // The shard lock is held across the inner call on purpose: same-shard
-  // callers must not race the insert, and the layers below are not
-  // thread-safe — inner_mu_ below extends that exclusion across shards.
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.capacity == 0) {
-    // This stripe's capacity share rounded down to zero: pass through
-    // (still serialized, still counted as a miss so hit_rate stays
-    // meaningful).
-    ++shard.stats.misses;
-    std::lock_guard<std::mutex> inner_lock(inner_mu_);
-    return inner_->Search(keywords);
-  }
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    ++shard.stats.hits;
-    shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
+  // The lock is held across the inner call on purpose: concurrent callers
+  // must not race the insert, and the layers below are not thread-safe.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    ++stats_.hits;
+    entries_.splice(entries_.begin(), entries_, it->second);
     return it->second->page;  // copy: callers own their pages
   }
-  ++shard.stats.misses;
+  ++stats_.misses;
 
-  Result<std::vector<table::Record>> result = [&] {
-    // Misses on OTHER shards hold their own shard lock but funnel here,
-    // so the unsynchronized layers below only ever see one call at a
-    // time. Lock order is always shard → inner (never inner → shard).
-    std::lock_guard<std::mutex> inner_lock(inner_mu_);
-    return inner_->Search(keywords);
-  }();
+  Result<std::vector<table::Record>> result = inner_->Search(keywords);
   if (!result.ok()) return result;
   std::vector<table::Record> page = std::move(result).value();
 
-  shard.entries.push_front(Entry{std::move(key), page});
-  shard.index[shard.entries.front().key] = shard.entries.begin();
-  ++shard.stats.insertions;
-  shard.EvictIfOverCapacity();
+  entries_.push_front(Entry{std::move(key), page});
+  index_[entries_.front().key] = entries_.begin();
+  ++stats_.insertions;
+  EvictIfOverCapacity();
   return page;
 }
 
-void CachingInterface::Shard::EvictIfOverCapacity() {
-  while (entries.size() > capacity) {
-    index.erase(entries.back().key);
-    entries.pop_back();
-    ++stats.evictions;
+void CachingInterface::EvictIfOverCapacity() {
+  while (entries_.size() > capacity_) {
+    index_.erase(entries_.back().key);
+    entries_.pop_back();
+    ++stats_.evictions;
   }
 }
 
 CacheStats CachingInterface::stats() const {
-  // One short lock per shard, never a global lock: the sum is a
-  // consistent-enough snapshot (each shard's counters are internally
-  // consistent; cross-shard skew only exists under concurrent traffic,
-  // where any global number is already a moving target).
-  CacheStats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.stats;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 size_t CachingInterface::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-std::vector<CachingInterface::ShardSnapshot> CachingInterface::shard_stats()
-    const {
-  std::vector<ShardSnapshot> out(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    out[s].capacity = shard.capacity;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out[s].stats = shard.stats;
-    out[s].size = shard.entries.size();
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 }  // namespace smartcrawl::net

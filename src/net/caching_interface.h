@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <list>
 #include <mutex>
@@ -11,8 +12,7 @@
 #include "util/thread_annotations.h"
 
 /// \file caching_interface.h
-/// Bounded, shardable LRU query-result cache for the hidden-database
-/// client path.
+/// Bounded LRU query-result cache for the hidden-database client path.
 ///
 /// The same keyword query against the same (static, deterministic) hidden
 /// engine always returns the same page, so repeated queries — online
@@ -27,33 +27,17 @@
 /// lower layers) always pass through. In the canonical stack the cache is
 /// the OUTERMOST layer — a hit costs neither a retry attempt nor budget.
 ///
-/// Sharding: the entry space is split by ShardOf(NormalizedKey(q)) — a
-/// pure hash of the normalized key — into `num_shards` stripes, each with
-/// its own mutex, LRU list and counters, and 1/num_shards of the total
-/// capacity (remainder spread over the first shards). Lookups on
-/// different shards never contend; eviction is per-shard LRU, independent
-/// of every other shard's traffic. The multi-tenant CrawlService uses
-/// this for its cross-tenant cache so issuer-side lookups stop funneling
-/// through one mutex (and so a future multi-issuer mode already has a
-/// correct substrate). One shard (the default) is exactly the classic
-/// single-lock LRU.
-///
 /// Thread safety: a shared cache is the one transport layer that
-/// concurrent tenants of a multi-tenant CrawlService touch at once, so
-/// each shard's LRU state is guarded by its own mutex (SC_GUARDED_BY
-/// below; enforced by sc-guarded-by and Clang -Wthread-safety). A miss
-/// additionally serializes the inner Search under inner_mu_, held while
-/// the owning shard's lock is still held: the decorated layers beneath
-/// (budget, quota, fault injection) are deliberately unsynchronized, and
-/// funneling every inner call through one mutex keeps their bookkeeping
-/// race-free even when misses on different shards race. Lock order is
-/// always shard → inner, never the reverse, so the two-level scheme
-/// cannot deadlock.
+/// concurrent tenants of a multi-tenant CrawlService may touch at once, so
+/// the LRU state is guarded by one mutex (SC_GUARDED_BY below; enforced by
+/// sc-guarded-by and Clang -Wthread-safety). A miss keeps that lock held
+/// across the inner Search: the decorated layers beneath (budget, quota,
+/// fault injection) are deliberately unsynchronized, and funneling every
+/// inner call through the cache's lock keeps their bookkeeping race-free.
 
 namespace smartcrawl::net {
 
-/// Cache counters (part of net::TransportStats). For a sharded cache the
-/// aggregate stats() is the field-wise sum over the shards.
+/// Cache counters (part of net::TransportStats).
 struct CacheStats {
   size_t hits = 0;
   size_t misses = 0;
@@ -66,25 +50,23 @@ struct CacheStats {
                         : static_cast<double>(hits) /
                               static_cast<double>(lookups);
   }
-
-  CacheStats& operator+=(const CacheStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    insertions += other.insertions;
-    return *this;
-  }
 };
 
 class CachingInterface : public hidden::KeywordSearchInterface {
  public:
-  /// `inner` must outlive this decorator. `capacity` is the maximum TOTAL
-  /// number of cached pages across all shards; 0 disables caching (pure
-  /// pass-through). `num_shards` is the stripe count (0 behaves as 1); a
-  /// shard whose capacity share is 0 degrades to pass-through for the
-  /// keys routed to it.
+  /// `inner` must outlive this decorator. `capacity` is the maximum
+  /// number of cached pages; 0 disables caching (pure pass-through).
+  CachingInterface(hidden::KeywordSearchInterface* inner, size_t capacity)
+      : inner_(inner), capacity_(capacity) {}
+
+  /// Source compatibility with perfbench/e2e_bench.cc, which was written
+  /// against a sharded cache: the cache has exactly one shard, so
+  /// `num_shards` must be 1 (core::CrawlServiceOptions::shared_cache_shards).
   CachingInterface(hidden::KeywordSearchInterface* inner, size_t capacity,
-                   size_t num_shards = 1);
+                   [[maybe_unused]] size_t num_shards)
+      : CachingInterface(inner, capacity) {
+    assert(num_shards == 1 && "the cache has one shard");
+  }
 
   Result<std::vector<table::Record>> Search(
       const std::vector<std::string>& keywords) override;
@@ -95,32 +77,14 @@ class CachingInterface : public hidden::KeywordSearchInterface {
     return inner_->num_queries_issued();
   }
 
-  /// Aggregate counters, summed shard by shard — one short per-shard lock
-  /// each, never a global lock (by value: the referents keep mutating
-  /// under concurrent Search calls while the caller reads them).
-  CacheStats stats() const;
-  /// Total cached entries across shards (same locking discipline).
-  size_t size() const;
+  /// Counters by value: the referents keep mutating under concurrent
+  /// Search calls while the caller reads them.
+  CacheStats stats() const SC_EXCLUDES(mu_);
+  size_t size() const SC_EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Per-shard snapshot: counters plus occupancy, in shard order (used by
-  /// bench_service to report stripe balance).
-  struct ShardSnapshot {
-    CacheStats stats;
-    size_t size = 0;
-    size_t capacity = 0;
-  };
-  std::vector<ShardSnapshot> shard_stats() const;
 
   /// The canonical cache key for a keyword set (exposed for tests).
   static std::string NormalizedKey(const std::vector<std::string>& keywords);
-
-  /// Stripe routing: a pure function of the normalized key and the shard
-  /// count — no instance state, so tests can predict placement and a
-  /// re-shard is a deterministic re-route.
-  static size_t ShardOf(const std::string& normalized_key,
-                        size_t num_shards);
 
  private:
   struct Entry {
@@ -128,27 +92,19 @@ class CachingInterface : public hidden::KeywordSearchInterface {
     std::vector<table::Record> page;
   };
 
-  /// One independently locked LRU stripe.
-  struct Shard {
-    size_t capacity = 0;  // fixed after construction
-    mutable std::mutex mu;
-    /// Most-recently-used at the front.
-    std::list<Entry> entries SC_GUARDED_BY(mu);
-    std::unordered_map<std::string, std::list<Entry>::iterator> index
-        SC_GUARDED_BY(mu);
-    CacheStats stats SC_GUARDED_BY(mu);
-
-    /// Drops least-recently-used entries until entries.size() <= capacity.
-    void EvictIfOverCapacity() SC_REQUIRES(mu);
-  };
+  /// Drops least-recently-used entries until entries_.size() <= capacity_.
+  void EvictIfOverCapacity() SC_REQUIRES(mu_);
 
   hidden::KeywordSearchInterface* inner_;
-  size_t capacity_;
-  /// Sized at construction, never resized (a mutex per shard pins them).
-  std::vector<Shard> shards_;
-  /// Serializes inner_->Search across shards on misses (see file comment).
-  /// Acquired with the owning shard's mutex held; lock order shard→inner.
-  std::mutex inner_mu_;
+  const size_t capacity_;
+  /// Guards the LRU state and, on a miss, the inner Search (see file
+  /// comment).
+  mutable std::mutex mu_;
+  /// Most-recently-used at the front.
+  std::list<Entry> entries_ SC_GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+      SC_GUARDED_BY(mu_);
+  CacheStats stats_ SC_GUARDED_BY(mu_);
 };
 
 }  // namespace smartcrawl::net

@@ -2,6 +2,8 @@
 #include <iterator>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -132,54 +134,187 @@ TEST(CrawlServiceTest, OneSessionReproducesFacadeForEveryCombo) {
   }
 }
 
-TEST(CrawlServiceTest, EightSessionsAreBitIdenticalAcrossThreadCounts) {
-  auto s = BuildGoldenScenario();
-  ASSERT_TRUE(s.ok()) << s.status().ToString();
-  auto sample = sample::BernoulliSample(*s->hidden, 0.025, 13);
-  auto plan_or =
-      CrawlPlan::Build(&s->local,
-                       GoldenOptions(*s, SelectionPolicy::kEstBiased,
-                                     match::ErMode::kJaccard),
-                       &sample);
-  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
-  std::shared_ptr<const CrawlPlan> plan = std::move(plan_or).value();
-
-  // Varying budgets make sessions finish in different rounds, exercising
-  // the streaming finish path mid-drive.
-  const size_t budgets[] = {5, 30, 12, 7, 30, 18, 25, 3};
+/// The 8-tenant fleet the determinism tests drive: one EstBiased/Jaccard
+/// plan over the golden scenario. Varying budgets spread finishes across
+/// rounds (exercising the streaming finish path mid-drive); per-tenant
+/// daily quotas make quota_used_today a comparison axis. Heap-allocated
+/// because the plan points into the scenario's local table.
+struct EightTenantFleet {
+  datagen::Scenario scenario;
   std::vector<SessionSpec> specs;
-  for (size_t b : budgets) {
+};
+
+std::unique_ptr<EightTenantFleet> BuildEightTenantFleet() {
+  auto s = BuildGoldenScenario();
+  if (!s.ok()) {
+    ADD_FAILURE() << s.status().ToString();
+    return nullptr;
+  }
+  auto fleet = std::make_unique<EightTenantFleet>();
+  fleet->scenario = std::move(s).value();
+  auto sample = sample::BernoulliSample(*fleet->scenario.hidden, 0.025, 13);
+  auto plan_or = CrawlPlan::Build(
+      &fleet->scenario.local,
+      GoldenOptions(fleet->scenario, SelectionPolicy::kEstBiased,
+                    match::ErMode::kJaccard),
+      &sample);
+  if (!plan_or.ok()) {
+    ADD_FAILURE() << plan_or.status().ToString();
+    return nullptr;
+  }
+  std::shared_ptr<const CrawlPlan> plan = std::move(plan_or).value();
+  for (size_t b : {5, 30, 12, 7, 30, 18, 25, 3}) {
     SessionSpec spec;
     spec.plan = plan;
     spec.budget = b;
-    specs.push_back(std::move(spec));
+    spec.transport.daily_quota = 100;  // never rejects; meters deltas
+    fleet->specs.push_back(std::move(spec));
   }
+  return fleet;
+}
 
+/// What a fleet run hands back, for bit-for-bit comparison.
+struct FleetRun {
+  std::vector<SessionOutcome> outcomes;
+  std::vector<size_t> finish_order;
+  net::CacheStats cache;
+};
+
+FleetRun DriveFleet(CrawlService* service,
+                    const std::vector<SessionSpec>& specs) {
+  FleetRun run;
+  run.outcomes.resize(specs.size());
+  Status st = service->Drive(specs, [&](size_t i, SessionOutcome out) {
+    run.finish_order.push_back(i);
+    run.outcomes[i] = std::move(out);
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  run.cache = *service->shared_cache_stats();
+  return run;
+}
+
+TEST(CrawlServiceTest, EightSessionsAreBitIdenticalAcrossThreadCounts) {
+  // 1 and 4 worker threads produce the same finish order and per-session
+  // results, bit for bit.
+  const auto fleet = BuildEightTenantFleet();
+  ASSERT_NE(fleet, nullptr);
   auto run = [&](unsigned threads) {
     CrawlServiceOptions sopt;
     sopt.num_threads = threads;  // shared cache on (default capacity)
-    CrawlService service(s->hidden.get(), sopt);
-    std::vector<size_t> finish_order;
-    std::vector<SessionOutcome> outcomes(specs.size());
-    Status st = service.Drive(specs, [&](size_t i, SessionOutcome out) {
-      finish_order.push_back(i);
-      outcomes[i] = std::move(out);
-    });
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    EXPECT_GT(service.shared_cache_stats()->hits, 0u);
-    return std::make_pair(std::move(outcomes), std::move(finish_order));
+    CrawlService service(fleet->scenario.hidden.get(), sopt);
+    return DriveFleet(&service, fleet->specs);
   };
 
-  auto [seq, seq_order] = run(1);
-  auto [par, par_order] = run(4);
-  EXPECT_EQ(seq_order, par_order);
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
+  const FleetRun seq = run(1);
+  const FleetRun par = run(4);
+  EXPECT_EQ(seq.finish_order, par.finish_order);
+  EXPECT_GT(seq.cache.hits, 0u);
+  EXPECT_GT(par.cache.hits, 0u);
+  ASSERT_EQ(seq.outcomes.size(), par.outcomes.size());
+  for (size_t i = 0; i < seq.outcomes.size(); ++i) {
     SCOPED_TRACE("session " + std::to_string(i));
-    ASSERT_TRUE(seq[i].status.ok()) << seq[i].status.ToString();
-    ASSERT_TRUE(par[i].status.ok()) << par[i].status.ToString();
-    EXPECT_EQ(seq[i].result.queries_issued, par[i].result.queries_issued);
-    EXPECT_EQ(Fingerprint(seq[i].result), Fingerprint(par[i].result));
+    const SessionOutcome& a = seq.outcomes[i];
+    const SessionOutcome& b = par.outcomes[i];
+    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+    EXPECT_EQ(a.result.queries_issued, b.result.queries_issued);
+    EXPECT_EQ(Fingerprint(a.result), Fingerprint(b.result));
+  }
+}
+
+TEST(CrawlServiceTest, FleetMatrixBitIdenticalAcrossModesThreadsShards) {
+  // The headline determinism claim over every run configuration the
+  // service has: the streaming (Drive) and batch (RunAll) surfaces at
+  // {1,4} worker threads produce the same per-session results (bit for
+  // bit), repair work, quota consumption and shared-cache counters, and
+  // Drive the same finish order. The shard axis is the single-lock shared
+  // cache (CrawlServiceOptions::shared_cache_shards == 1). The reference
+  // is Drive at 1 thread — the configuration closest to the paper's
+  // sequential crawler.
+  static_assert(CrawlServiceOptions::shared_cache_shards == 1);
+  const auto fleet = BuildEightTenantFleet();
+  ASSERT_NE(fleet, nullptr);
+  enum class Surface { kDrive, kRunAll };
+  auto run = [&](Surface surface, unsigned threads) {
+    CrawlServiceOptions sopt;
+    sopt.num_threads = threads;  // default capacity: no evictions
+    CrawlService service(fleet->scenario.hidden.get(), sopt);
+    if (surface == Surface::kDrive) return DriveFleet(&service, fleet->specs);
+    FleetRun rr;
+    auto outcomes = service.RunAll(fleet->specs);
+    EXPECT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    if (outcomes.ok()) rr.outcomes = std::move(outcomes).value();
+    rr.cache = *service.shared_cache_stats();
+    return rr;
+  };
+
+  const FleetRun ref = run(Surface::kDrive, 1);
+  ASSERT_EQ(ref.finish_order.size(), fleet->specs.size());
+  EXPECT_GT(ref.cache.hits, 0u);
+  for (Surface surface : {Surface::kDrive, Surface::kRunAll}) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string("surface=") +
+                   (surface == Surface::kDrive ? "Drive" : "RunAll") +
+                   " threads=" + std::to_string(threads));
+      const FleetRun got = run(surface, threads);
+      if (surface == Surface::kDrive) {
+        EXPECT_EQ(got.finish_order, ref.finish_order);
+      }
+      EXPECT_EQ(got.cache.hits, ref.cache.hits);
+      EXPECT_EQ(got.cache.misses, ref.cache.misses);
+      EXPECT_EQ(got.cache.evictions, 0u);
+      ASSERT_EQ(got.outcomes.size(), ref.outcomes.size());
+      for (size_t i = 0; i < ref.outcomes.size(); ++i) {
+        SCOPED_TRACE("session " + std::to_string(i));
+        const SessionOutcome& a = ref.outcomes[i];
+        const SessionOutcome& b = got.outcomes[i];
+        ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+        EXPECT_EQ(b.result.queries_issued, a.result.queries_issued);
+        EXPECT_EQ(b.quota_used_today, a.quota_used_today);
+        EXPECT_EQ(b.result.stats.pq_recomputes, a.result.stats.pq_recomputes);
+        EXPECT_EQ(Fingerprint(b.result), Fingerprint(a.result));
+      }
+    }
+  }
+}
+
+TEST(CrawlServiceTest, DriveUnwindsCleanlyWhenFinishCallbackThrows) {
+  // A throwing finish callback must reach the caller, and the unwind must
+  // leave no run state behind: the memo is emptied and the next Drive on
+  // the same (now warm-cached) service selects exactly what a fresh
+  // service does. Quota is not compared: the warm cache answers for free.
+  const auto fleet = BuildEightTenantFleet();
+  ASSERT_NE(fleet, nullptr);
+  CrawlService service(fleet->scenario.hidden.get(), CrawlServiceOptions{});
+  size_t calls = 0;
+  size_t memo_entries_at_throw = 0;
+  EXPECT_THROW(
+      {
+        Status st = service.Drive(fleet->specs, [&](size_t, SessionOutcome) {
+          ++calls;
+          memo_entries_at_throw = service.page_memo_stats().entries;
+          throw std::runtime_error("tenant callback failed");
+        });
+        (void)st;
+      },
+      std::runtime_error);
+  EXPECT_EQ(calls, 1u);
+  // The first finish comes mid-run, with pages already memoized.
+  EXPECT_GT(memo_entries_at_throw, 0u);
+  EXPECT_EQ(service.page_memo_stats().entries, 0u);
+
+  const FleetRun again = DriveFleet(&service, fleet->specs);
+  CrawlService fresh_service(fleet->scenario.hidden.get(),
+                             CrawlServiceOptions{});
+  const FleetRun fresh = DriveFleet(&fresh_service, fleet->specs);
+  EXPECT_EQ(again.finish_order, fresh.finish_order);
+  ASSERT_EQ(again.outcomes.size(), fresh.outcomes.size());
+  for (size_t i = 0; i < fresh.outcomes.size(); ++i) {
+    SCOPED_TRACE("session " + std::to_string(i));
+    ASSERT_TRUE(again.outcomes[i].status.ok())
+        << again.outcomes[i].status.ToString();
+    EXPECT_EQ(Fingerprint(again.outcomes[i].result),
+              Fingerprint(fresh.outcomes[i].result));
   }
 }
 
@@ -223,113 +358,6 @@ TEST(CrawlServiceTest, SharedCacheHitsAreMeteredFreeUnderDailyQuota) {
   EXPECT_GE(service.shared_cache_stats()->hits, 20u);
 }
 
-TEST(CrawlServiceTest, PipelinedIsTheDefaultDriveMode) {
-  // The ISSUE-10 contract: pipelining is on by default; the round-based
-  // reference stays selectable. A default flip would silently change
-  // what every caller (and bench baseline) measures, so pin it.
-  CrawlServiceOptions defaults;
-  EXPECT_EQ(defaults.drive_mode, DriveMode::kPipelined);
-  EXPECT_EQ(defaults.shared_cache_shards, 8u);
-}
-
-TEST(CrawlServiceTest, FleetMatrixBitIdenticalAcrossModesThreadsShards) {
-  // The headline determinism claim: pipelined vs round-based at {1,4}
-  // worker threads x {1,8} cache shards x point/batched repair all
-  // produce the same finish order, per-session results (bit for bit),
-  // quota consumption and shared-cache counters. The reference for each
-  // repair mode is round-based / 1 thread / 1 shard — the configuration
-  // closest to the paper's sequential crawler.
-  auto s = BuildGoldenScenario();
-  ASSERT_TRUE(s.ok()) << s.status().ToString();
-  auto sample = sample::BernoulliSample(*s->hidden, 0.025, 13);
-  auto plan_or =
-      CrawlPlan::Build(&s->local,
-                       GoldenOptions(*s, SelectionPolicy::kEstBiased,
-                                     match::ErMode::kJaccard),
-                       &sample);
-  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
-  std::shared_ptr<const CrawlPlan> plan = std::move(plan_or).value();
-
-  // Varying budgets spread finishes across rounds (so the pipelined
-  // mid-round finish staging is really exercised); per-tenant daily
-  // quotas make quota_used_today a meaningful comparison axis.
-  const size_t budgets[] = {5, 30, 12, 7, 30, 18, 25, 3};
-  std::vector<SessionSpec> specs;
-  for (size_t b : budgets) {
-    SessionSpec spec;
-    spec.plan = plan;
-    spec.budget = b;
-    spec.transport.daily_quota = 100;  // never rejects; meters deltas
-    specs.push_back(std::move(spec));
-  }
-
-  struct RunResult {
-    std::vector<SessionOutcome> outcomes;
-    std::vector<size_t> finish_order;
-    net::CacheStats cache;
-  };
-  auto run = [&](DriveMode mode, unsigned threads, size_t shards,
-                 PqRepairMode repair) {
-    CrawlServiceOptions sopt;
-    sopt.drive_mode = mode;
-    sopt.num_threads = threads;
-    sopt.shared_cache_shards = shards;  // default capacity: no evictions
-    sopt.pq_repair = repair;
-    sopt.repair_threads =
-        repair == PqRepairMode::kBatched && threads == 4 ? 2 : 1;
-    CrawlService service(s->hidden.get(), sopt);
-    RunResult rr;
-    rr.outcomes.resize(specs.size());
-    Status st = service.Drive(specs, [&](size_t i, SessionOutcome out) {
-      rr.finish_order.push_back(i);
-      rr.outcomes[i] = std::move(out);
-    });
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    rr.cache = *service.shared_cache_stats();
-    return rr;
-  };
-
-  for (PqRepairMode repair : {PqRepairMode::kPoint, PqRepairMode::kBatched}) {
-    RunResult ref = run(DriveMode::kRoundBased, 1, 1, repair);
-    ASSERT_EQ(ref.finish_order.size(), specs.size());
-    for (DriveMode mode : {DriveMode::kRoundBased, DriveMode::kPipelined}) {
-      for (unsigned threads : {1u, 4u}) {
-        for (size_t shards : {size_t{1}, size_t{8}}) {
-          SCOPED_TRACE("repair=" +
-                       std::to_string(static_cast<int>(repair)) + " mode=" +
-                       std::to_string(static_cast<int>(mode)) +
-                       " threads=" + std::to_string(threads) +
-                       " shards=" + std::to_string(shards));
-          RunResult got = run(mode, threads, shards, repair);
-          EXPECT_EQ(got.finish_order, ref.finish_order);
-          // Cache traffic is shard-count-invariant because the default
-          // capacity never evicts on this workload.
-          EXPECT_EQ(got.cache.hits, ref.cache.hits);
-          EXPECT_EQ(got.cache.misses, ref.cache.misses);
-          EXPECT_EQ(got.cache.evictions, 0u);
-          ASSERT_EQ(got.outcomes.size(), ref.outcomes.size());
-          for (size_t i = 0; i < ref.outcomes.size(); ++i) {
-            SCOPED_TRACE("session " + std::to_string(i));
-            ASSERT_TRUE(got.outcomes[i].status.ok())
-                << got.outcomes[i].status.ToString();
-            EXPECT_EQ(got.outcomes[i].result.queries_issued,
-                      ref.outcomes[i].result.queries_issued);
-            EXPECT_EQ(got.outcomes[i].quota_used_today,
-                      ref.outcomes[i].quota_used_today);
-            // pq_recomputes counts repair WORK, which by design differs
-            // between point and batched — compare within the repair mode
-            // only (the fingerprint pins the selected queries either way).
-            EXPECT_EQ(got.outcomes[i].result.stats.pq_recomputes,
-                      ref.outcomes[i].result.stats.pq_recomputes);
-            EXPECT_EQ(Fingerprint(got.outcomes[i].result),
-                      Fingerprint(ref.outcomes[i].result));
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(CrawlServiceTest, ReusedServiceScratchIsStatelessAcrossRuns) {
   // One service driving two consecutive fleets reuses its RoundScratch
   // (and keeps its warm shared cache). Reuse must not leak state:
@@ -370,22 +398,14 @@ TEST(CrawlServiceTest, ReusedServiceScratchIsStatelessAcrossRuns) {
   EXPECT_EQ((*second)[0].quota_used_today, 0u);
 }
 
-/// What a fleet run hands back, for bit-for-bit comparison.
-struct FleetRun {
-  std::vector<SessionOutcome> outcomes;
-  std::vector<size_t> finish_order;
-  net::CacheStats cache;
-};
-
 /// CrawlService's round loop over memo-less sessions, on one thread: each
 /// round, every live session issues in index order behind one shared
 /// cache (configured like the service's), then every fetched page is
 /// processed. Each session matches its pages itself.
 FleetRun RunMemolessRounds(hidden::KeywordSearchInterface* origin,
                            const std::vector<SessionSpec>& specs) {
-  const CrawlServiceOptions defaults;
-  net::CachingInterface cache(origin, defaults.shared_cache_capacity,
-                              defaults.shared_cache_shards);
+  net::CachingInterface cache(origin,
+                              CrawlServiceOptions{}.shared_cache_capacity);
   const size_t n = specs.size();
   FleetRun run;
   run.outcomes.resize(n);

@@ -14,7 +14,6 @@
 #include "index/set_kernels.h"
 #include "sample/sampler.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 /// Golden bit-identical-crawl suite.
 ///
@@ -42,9 +41,7 @@ struct GoldenCase {
 constexpr size_t kBudget = 30;
 
 CrawlResult RunCombo(SelectionPolicy policy, match::ErMode er,
-                     unsigned threads,
-                     PqRepairMode repair = PqRepairMode::kPoint,
-                     unsigned repair_threads = 1) {
+                     unsigned threads) {
   datagen::DblpScenarioConfig cfg;
   cfg.corpus.corpus_size = 4000;
   cfg.corpus.db_community_fraction = 0.5;
@@ -68,9 +65,6 @@ CrawlResult RunCombo(SelectionPolicy policy, match::ErMode er,
   auto crawler = SmartCrawler::Create(&s->local, std::move(opt), &sample,
                                       oracle);
   if (!crawler.ok()) return {};
-  util::ThreadPool repair_pool(repair_threads);
-  crawler.value()->session().ConfigureRepair(
-      repair, repair_threads > 1 ? &repair_pool : nullptr);
   hidden::BudgetedInterface iface(s->hidden.get(), kBudget);
   auto r = crawler.value()->Crawl(&iface, kBudget);
   if (!r.ok()) return {};
@@ -207,8 +201,7 @@ class GoldenCrawlTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenCrawlTest, ReproducesPreRefactorCrawlBitForBit) {
   const GoldenCase& g = GetParam();
-  // Point repair reproduces the pre-CSR table EXACTLY, recompute counts
-  // included — the constants below were generated by that scheme.
+  // Reproduces the pre-CSR table EXACTLY, recompute counts included.
   for (unsigned threads : {1u, 4u}) {
     CrawlResult r = RunCombo(g.policy, g.er, threads);
     EXPECT_EQ(r.queries_issued, g.queries_issued) << "threads=" << threads;
@@ -218,32 +211,6 @@ TEST_P(GoldenCrawlTest, ReproducesPreRefactorCrawlBitForBit) {
         << "threads=" << threads;
     EXPECT_EQ(r.stopped_early, g.stopped_early) << "threads=" << threads;
     EXPECT_EQ(Fingerprint(r), g.fingerprint) << "threads=" << threads;
-  }
-}
-
-TEST_P(GoldenCrawlTest, BatchedRepairMatchesGoldenAtAnyThreadCount) {
-  const GoldenCase& g = GetParam();
-  // Batched repair recomputes eagerly (different pq_recomputes by
-  // design), but selection must stay bit-identical to the golden table —
-  // and the eager recompute count itself must not depend on the repair
-  // pool size.
-  size_t recomputes_at_1 = 0;
-  for (unsigned repair_threads : {1u, 4u}) {
-    CrawlResult r = RunCombo(g.policy, g.er, /*threads=*/1,
-                             PqRepairMode::kBatched, repair_threads);
-    EXPECT_EQ(r.queries_issued, g.queries_issued)
-        << "repair_threads=" << repair_threads;
-    EXPECT_EQ(r.covered_local_ids.size(), g.covered)
-        << "repair_threads=" << repair_threads;
-    EXPECT_EQ(r.stopped_early, g.stopped_early)
-        << "repair_threads=" << repair_threads;
-    EXPECT_EQ(Fingerprint(r), g.fingerprint)
-        << "repair_threads=" << repair_threads;
-    if (repair_threads == 1u) {
-      recomputes_at_1 = r.stats.pq_recomputes;
-    } else {
-      EXPECT_EQ(r.stats.pq_recomputes, recomputes_at_1);
-    }
   }
 }
 

@@ -1,6 +1,5 @@
 #include "net/caching_interface.h"
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -105,203 +104,6 @@ TEST(NetCachingTest, HitsDoNotConsumeBudgetInCanonicalOrder) {
   EXPECT_TRUE(budget.exhausted());
   ASSERT_TRUE(cache.Search({"beta"}).ok());   // cached: still fine
   EXPECT_FALSE(cache.Search({"gamma"}).ok());  // uncached: BudgetExhausted
-}
-
-// ----- sharded-cache suite --------------------------------------------
-//
-// Shard placement is a PURE function of (normalized key, shard count), so
-// the tests below discover placements at runtime with the public ShardOf
-// and build adversarial/benign key sets from them — fully deterministic,
-// no hash constants baked into expectations.
-
-/// A database with enough distinct single-word keys that every shard
-/// grouping the tests need provably exists.
-hidden::HiddenDatabase WordyDb() {
-  static const char* kRows[] = {
-      "alpha beta",    "gamma delta", "epsilon zeta", "eta theta",
-      "iota kappa",    "lam mu",      "nu xi",        "omicron pi",
-      "rho sigma",     "tau upsilon", "phi chi",      "psi omega"};
-  table::Table t(table::Schema{{"name"}});
-  uint64_t entity = 1;
-  for (const char* row : kRows) EXPECT_TRUE(t.Append({row}, entity++).ok());
-  hidden::HiddenDatabaseOptions opt;
-  opt.top_k = 10;
-  return hidden::HiddenDatabase(std::move(t), opt);
-}
-
-/// All 24 single-word keys of WordyDb, grouped by their shard under
-/// `num_shards`.
-std::vector<std::vector<std::string>> WordsByShard(size_t num_shards) {
-  static const char* kWords[] = {
-      "alpha", "beta",    "gamma", "delta", "epsilon", "zeta",
-      "eta",   "theta",   "iota",  "kappa", "lam",     "mu",
-      "nu",    "xi",      "omicron", "pi",  "rho",     "sigma",
-      "tau",   "upsilon", "phi",   "chi",   "psi",     "omega"};
-  std::vector<std::vector<std::string>> by_shard(num_shards);
-  for (const char* w : kWords) {
-    std::string key = CachingInterface::NormalizedKey({w});
-    by_shard[CachingInterface::ShardOf(key, num_shards)].push_back(w);
-  }
-  return by_shard;
-}
-
-TEST(NetCachingShardTest, RoutingIsPureOnTheNormalizedKey) {
-  // Keyword sets normalizing to the same key route to the same shard, at
-  // every shard count.
-  for (size_t shards : {1u, 2u, 7u, 8u}) {
-    EXPECT_EQ(CachingInterface::ShardOf(
-                  CachingInterface::NormalizedKey({"Noodle", "house"}),
-                  shards),
-              CachingInterface::ShardOf(CachingInterface::NormalizedKey(
-                                            {"house", "noodle", "NOODLE"}),
-                                        shards));
-  }
-  // Degenerate shard counts collapse to stripe 0.
-  EXPECT_EQ(CachingInterface::ShardOf("anything", 1), 0u);
-  EXPECT_EQ(CachingInterface::ShardOf("anything", 0), 0u);
-  // The hash actually spreads: 24 distinct words over 8 shards land on
-  // more than one stripe (deterministic — ShardOf has no hidden state).
-  std::set<size_t> used;
-  for (size_t s = 0; s < 8; ++s) {
-    if (!WordsByShard(8)[s].empty()) used.insert(s);
-  }
-  EXPECT_GT(used.size(), 1u);
-}
-
-TEST(NetCachingShardTest, CapacitySplitsAcrossShardsSummingToTotal) {
-  auto db = WordyDb();
-  CachingInterface cache(&db, 10, 4);
-  EXPECT_EQ(cache.num_shards(), 4u);
-  EXPECT_EQ(cache.capacity(), 10u);
-  auto shards = cache.shard_stats();
-  ASSERT_EQ(shards.size(), 4u);
-  // floor(10/4) = 2 each, remainder 2 to the first shards: {3, 3, 2, 2}.
-  EXPECT_EQ(shards[0].capacity, 3u);
-  EXPECT_EQ(shards[1].capacity, 3u);
-  EXPECT_EQ(shards[2].capacity, 2u);
-  EXPECT_EQ(shards[3].capacity, 2u);
-  // num_shards = 0 behaves as 1 (full capacity, single stripe).
-  CachingInterface unstriped(&db, 5, 0);
-  EXPECT_EQ(unstriped.num_shards(), 1u);
-  EXPECT_EQ(unstriped.shard_stats()[0].capacity, 5u);
-}
-
-TEST(NetCachingShardTest, EvictionIsIndependentPerShard) {
-  auto by_shard = WordsByShard(2);
-  // 24 words over 2 shards: both stripes are provably populated and one
-  // has at least two words (pigeonhole; concretely deterministic).
-  size_t crowded = by_shard[0].size() >= 2 ? 0 : 1;
-  ASSERT_GE(by_shard[crowded].size(), 2u);
-  ASSERT_GE(by_shard[1 - crowded].size(), 1u);
-  const std::string& same_a = by_shard[crowded][0];
-  const std::string& same_b = by_shard[crowded][1];
-  const std::string& other = by_shard[1 - crowded][0];
-
-  auto db = WordyDb();
-  CachingInterface cache(&db, 2, 2);  // one entry per stripe
-  ASSERT_TRUE(cache.Search({same_a}).ok());  // fills crowded stripe
-  ASSERT_TRUE(cache.Search({other}).ok());   // fills the other stripe
-  ASSERT_TRUE(cache.Search({same_b}).ok());  // evicts same_a — SAME stripe
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  // The other stripe was untouched by that eviction...
-  ASSERT_TRUE(cache.Search({other}).ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // ...while the crowded stripe really lost its older entry.
-  ASSERT_TRUE(cache.Search({same_a}).ok());
-  EXPECT_EQ(cache.stats().misses, 4u);  // a, other, b, a-again
-}
-
-TEST(NetCachingShardTest, StatsAggregateAcrossShards) {
-  auto db = WordyDb();
-  // 8 entries per stripe: even if all six words collide on one stripe,
-  // nothing evicts, so the expected counts are exact.
-  CachingInterface cache(&db, 64, 8);
-  const char* words[] = {"alpha", "gamma", "epsilon", "eta", "iota", "nu"};
-  for (const char* w : words) ASSERT_TRUE(cache.Search({w}).ok());
-  for (const char* w : {"alpha", "gamma", "epsilon"}) {
-    ASSERT_TRUE(cache.Search({w}).ok());
-  }
-  CacheStats total = cache.stats();
-  EXPECT_EQ(total.misses, 6u);
-  EXPECT_EQ(total.hits, 3u);
-  EXPECT_EQ(total.insertions, 6u);
-  EXPECT_EQ(total.evictions, 0u);
-  EXPECT_EQ(cache.size(), 6u);
-  // The per-shard snapshots sum to exactly the aggregate.
-  CacheStats summed;
-  size_t entries = 0;
-  size_t capacity = 0;
-  for (const auto& shard : cache.shard_stats()) {
-    summed += shard.stats;
-    entries += shard.size;
-    capacity += shard.capacity;
-  }
-  EXPECT_EQ(summed.hits, total.hits);
-  EXPECT_EQ(summed.misses, total.misses);
-  EXPECT_EQ(summed.insertions, total.insertions);
-  EXPECT_EQ(summed.evictions, total.evictions);
-  EXPECT_EQ(entries, cache.size());
-  EXPECT_EQ(capacity, cache.capacity());
-}
-
-TEST(NetCachingShardTest, ShardedMatchesUnshardedWithoutEviction) {
-  // With an eviction-free working set, hit/miss/insert counts — and of
-  // course the pages — are invariant in the shard count. This is the
-  // property CrawlService's bit-identity across shard counts rests on.
-  auto run = [](size_t num_shards) {
-    auto db = WordyDb();
-    CachingInterface cache(&db, 64, num_shards);
-    std::vector<std::vector<table::Record>> pages;
-    const char* sequence[] = {"alpha", "beta",  "alpha", "gamma",
-                              "beta",  "delta", "alpha", "zeta"};
-    for (const char* w : sequence) {
-      auto page = cache.Search({w});
-      EXPECT_TRUE(page.ok());
-      pages.push_back(std::move(page).value());
-    }
-    return std::make_tuple(cache.stats(), db.num_queries_issued(),
-                           std::move(pages));
-  };
-  auto [stats1, issued1, pages1] = run(1);
-  auto [stats8, issued8, pages8] = run(8);
-  EXPECT_EQ(stats1.hits, stats8.hits);
-  EXPECT_EQ(stats1.misses, stats8.misses);
-  EXPECT_EQ(stats1.insertions, stats8.insertions);
-  EXPECT_EQ(stats1.evictions, 0u);
-  EXPECT_EQ(stats8.evictions, 0u);
-  EXPECT_EQ(issued1, issued8);
-  ASSERT_EQ(pages1.size(), pages8.size());
-  for (size_t i = 0; i < pages1.size(); ++i) {
-    ASSERT_EQ(pages1[i].size(), pages8[i].size());
-    for (size_t j = 0; j < pages1[i].size(); ++j) {
-      EXPECT_EQ(pages1[i][j].id, pages8[i][j].id);
-      EXPECT_EQ(pages1[i][j].fields, pages8[i][j].fields);
-    }
-  }
-}
-
-TEST(NetCachingShardTest, ZeroCapacityShardIsCountedPassThrough) {
-  // capacity 2 over 4 shards: stripes 2 and 3 get a 0 share and degrade
-  // to (counted) pass-through for the keys routed to them.
-  auto by_shard = WordsByShard(4);
-  std::string starved;
-  for (size_t s = 2; s < 4 && starved.empty(); ++s) {
-    if (!by_shard[s].empty()) starved = by_shard[s][0];
-  }
-  ASSERT_FALSE(starved.empty());  // 24 words over 4 shards: deterministic
-
-  auto db = WordyDb();
-  CachingInterface cache(&db, 2, 4);
-  ASSERT_TRUE(cache.Search({starved}).ok());
-  ASSERT_TRUE(cache.Search({starved}).ok());
-  EXPECT_EQ(db.num_queries_issued(), 2u);  // nothing was cached
-  const auto shards = cache.shard_stats();
-  size_t s = CachingInterface::ShardOf(
-      CachingInterface::NormalizedKey({starved}), 4);
-  EXPECT_EQ(shards[s].capacity, 0u);
-  EXPECT_EQ(shards[s].stats.misses, 2u);
-  EXPECT_EQ(shards[s].stats.insertions, 0u);
-  EXPECT_EQ(shards[s].size, 0u);
 }
 
 }  // namespace
