@@ -17,9 +17,9 @@
 ///                                loop); Csr walks the precomputed
 ///                                forward-aligned decrement array.
 ///   * BM_KernelMergeCount/BM_KernelGallopCount/BM_KernelBitmapAnd —
-///                                the raw set kernels by dispatch tier
-///                                (arg 0 = scalar, 1 = SSE4.2, 2 = AVX2);
-///                                tiers the host lacks are not registered.
+///                                the raw set kernels (PairCount in its
+///                                merge and gallop regimes, BitmapAndCount)
+///                                on bare lists.
 ///   * BM_PqRepairDrain_Point   — the greedy drain loop over the fan-out
 ///                                model with point repair (MarkDirty +
 ///                                recompute-on-pop).
@@ -156,14 +156,10 @@ void BM_IntersectPostings_MultiTerm(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectPostings_MultiTerm);
 
-// ---- Raw set kernels by dispatch tier -----------------------------------
+// ---- Raw set kernels -----------------------------------------------------
 //
 // Same densities as the index fixture above, but as bare lists so the
-// benchmark isolates the kernel from CSR lookup and tier selection. The
-// tier is the benchmark arg (0 = scalar, 1 = SSE4.2, 2 = AVX2) and only
-// tiers the host actually supports are registered (see main), so the
-// committed numbers always compare real vector units against the scalar
-// baseline on the same machine.
+// benchmark isolates the kernel from CSR lookup.
 
 struct KernelLists {
   std::vector<uint32_t> merge_a, merge_b;        // ~N/37 x ~N/50: merge
@@ -201,10 +197,9 @@ const KernelLists& BuildKernelLists() {
 
 void BM_KernelMergeCount(benchmark::State& state) {
   const KernelLists& k = BuildKernelLists();
-  const auto tier = static_cast<index::SimdTier>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        index::SimdMergeCountDispatch(k.merge_a, k.merge_b, tier));
+        index::PairCount(k.merge_a, k.merge_b, /*counters=*/nullptr));
   }
   state.SetItemsProcessed(
       state.iterations() *
@@ -213,13 +208,12 @@ void BM_KernelMergeCount(benchmark::State& state) {
 
 void BM_KernelGallopCount(benchmark::State& state) {
   const KernelLists& k = BuildKernelLists();
-  const auto tier = static_cast<index::SimdTier>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index::SimdGallopCountDispatch(k.gallop_small, k.gallop_large, tier));
+    benchmark::DoNotOptimize(index::PairCount(
+        k.gallop_small, k.gallop_large, /*counters=*/nullptr));
   }
   // The gallop never touches most of the large list; per-item throughput
-  // is still reported against both inputs so tiers stay comparable.
+  // is still reported against both inputs so it compares with the merge.
   state.SetItemsProcessed(
       state.iterations() *
       static_cast<int64_t>(k.gallop_small.size() + k.gallop_large.size()));
@@ -227,34 +221,18 @@ void BM_KernelGallopCount(benchmark::State& state) {
 
 void BM_KernelBitmapAnd(benchmark::State& state) {
   const KernelLists& k = BuildKernelLists();
-  const auto tier = static_cast<index::SimdTier>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        index::SimdBitmapAndCountDispatch(k.bitmap_a, k.bitmap_b, tier));
+        index::BitmapAndCount(k.bitmap_a, k.bitmap_b, /*counters=*/nullptr));
   }
   // Items = set bits represented, i.e. 64 per word of one side.
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(k.bitmap_a.size() * 64));
 }
 
-/// Tier args are registered at runtime: asking an SSE-only box to run the
-/// AVX2 variant must be impossible, not a SIGILL. Called from main after
-/// benchmark::Initialize.
-void RegisterKernelTierBenchmarks() {
-  const int max_tier = static_cast<int>(index::ActiveSimdTier());
-  for (int t = 0; t <= max_tier; ++t) {
-    benchmark::RegisterBenchmark("BM_KernelMergeCount", BM_KernelMergeCount)
-        ->Arg(t);
-    benchmark::RegisterBenchmark("BM_KernelGallopCount", BM_KernelGallopCount)
-        ->Arg(t);
-    // The bitmap kernel has no SSE variant (dispatch falls through to the
-    // scalar word loop below AVX2), so tier 1 would duplicate tier 0.
-    if (t != static_cast<int>(index::SimdTier::kSse42)) {
-      benchmark::RegisterBenchmark("BM_KernelBitmapAnd", BM_KernelBitmapAnd)
-          ->Arg(t);
-    }
-  }
-}
+BENCHMARK(BM_KernelMergeCount);
+BENCHMARK(BM_KernelGallopCount);
+BENCHMARK(BM_KernelBitmapAnd);
 
 // ---- RemoveRecords fan-out: ContainsAll re-evaluation vs delta walk -----
 
@@ -528,7 +506,6 @@ int main(int argc, char** argv) {
 
   int pruned_argc = static_cast<int>(args.size());
   benchmark::Initialize(&pruned_argc, args.data());
-  RegisterKernelTierBenchmarks();  // after Initialize: needs g_scale + CPU
   if (benchmark::ReportUnrecognizedArguments(pruned_argc, args.data())) {
     return 1;
   }

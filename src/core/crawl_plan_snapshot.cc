@@ -92,11 +92,6 @@ void PutKernelStats(snapshot::BlobWriter* w, const index::KernelStats& k) {
   w->PutU64(k.merge);
   w->PutU64(k.bitmap);
   w->PutU64(k.materialized);
-  // Per-variant SIMD tallies — the format-v2 extension (loading a v1
-  // snapshot is rejected by the version check, not defaulted).
-  w->PutU64(k.simd_merge);
-  w->PutU64(k.simd_gallop);
-  w->PutU64(k.bitmap_blocked);
 }
 
 Result<index::KernelStats> GetKernelStats(snapshot::BlobReader* r) {
@@ -105,9 +100,6 @@ Result<index::KernelStats> GetKernelStats(snapshot::BlobReader* r) {
   SC_ASSIGN_OR_RETURN(k.merge, r->U64());
   SC_ASSIGN_OR_RETURN(k.bitmap, r->U64());
   SC_ASSIGN_OR_RETURN(k.materialized, r->U64());
-  SC_ASSIGN_OR_RETURN(k.simd_merge, r->U64());
-  SC_ASSIGN_OR_RETURN(k.simd_gallop, r->U64());
-  SC_ASSIGN_OR_RETURN(k.bitmap_blocked, r->U64());
   return k;
 }
 

@@ -30,7 +30,9 @@ struct IterationLog {
 
 /// Engine-internal counters mirroring the cost terms of the paper's
 /// Appendix B complexity analysis; useful for performance debugging and
-/// the Sec. 6.3 ablation.
+/// the Sec. 6.3 ablation. The set-kernel mix of plan construction is a
+/// plan property, not a session one: read it from
+/// `CrawlPlan::build_kernel_stats()`.
 struct CrawlStats {
   /// Queries in the generated pool (|Q|).
   size_t pool_size = 0;
@@ -56,20 +58,6 @@ struct CrawlStats {
   /// stop-words after the engine's tokenization); dropped, not counted
   /// against budget.
   size_t queries_rejected = 0;
-  /// Kernel mix of the crawler-side index construction (pool q(D) lists,
-  /// sample |q(Hs)| counts): how many pairwise intersections ran as
-  /// galloping search / linear merge / dense-bitmap AND. Identical every
-  /// session of the same crawler (construction happens once).
-  size_t kernel_galloping = 0;
-  size_t kernel_merge = 0;
-  size_t kernel_bitmap = 0;
-  /// Vectorized-kernel share of the same construction mix (exclusive with
-  /// the three scalar tallies above): block-merge / vector-gallop /
-  /// 512-bit-blocked bitmap AND. All zero when the host lacks the tier or
-  /// SC_DISABLE_SIMD is set — how a crawl log shows which tier ran.
-  size_t kernel_simd_merge = 0;
-  size_t kernel_simd_gallop = 0;
-  size_t kernel_bitmap_blocked = 0;
   /// |q(D) ∩~ q(Hs)| decrements applied by RemoveRecords THIS session via
   /// the precomputed delta adjacency — each one replaces a ContainsAll
   /// re-evaluation the pre-CSR implementation performed per

@@ -286,16 +286,9 @@ CrawlResult CrawlSession::TakeResult() {
   for (table::RecordId d = 0; d < covered_.size(); ++d) {
     if (covered_[d]) result_.covered_local_ids.push_back(d);
   }
-  const index::KernelStats& kernels = plan_->build_kernel_stats();
   result_.stats.pool_size = plan_->pool().size();
   // Lifetime on-pop repairs (see LazyPriorityQueue::num_recomputes).
   result_.stats.pq_recomputes = pq_ ? pq_->num_recomputes() : 0;
-  result_.stats.kernel_galloping = kernels.galloping;
-  result_.stats.kernel_merge = kernels.merge;
-  result_.stats.kernel_bitmap = kernels.bitmap;
-  result_.stats.kernel_simd_merge = kernels.simd_merge;
-  result_.stats.kernel_simd_gallop = kernels.simd_gallop;
-  result_.stats.kernel_bitmap_blocked = kernels.bitmap_blocked;
   result_.stats.delta_decrements =
       static_cast<size_t>(delta_decrements_total_ - decrements_at_start_);
   finished_ = true;

@@ -125,10 +125,9 @@ size_t InvertedIndex::IntersectionSize(
     const std::span<const uint64_t> wb = BitmapOf(refs[1].term);
     if (!wb.empty()) {
       const std::span<const uint64_t> wa = BitmapOf(refs[0].term);
-      // Both dense: word-wise AND/popcount beats any list walk (blocked
-      // SIMD when wide enough — the counters-aware overload tallies the
-      // variant). Only the larger dense: O(1) bit probes driven by the
-      // smaller list.
+      // Both dense: word-wise AND/popcount beats any list walk (the
+      // counters-aware overload tallies the probe). Only the larger dense:
+      // O(1) bit probes driven by the smaller list.
       if (!wa.empty()) return BitmapAndCount(wa, wb, &counters_);
       counters_.CountBitmap();
       return BitmapListCount(wb, refs[0].list);

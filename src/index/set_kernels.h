@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -18,12 +17,10 @@
 ///
 /// Every kernel computes the same mathematical result; selection only
 /// changes CPU cost, so crawls stay bit-identical regardless of which
-/// kernel ran (pinned by tests/core/golden_crawl_test.cc). That invariant
-/// extends to the vectorized twins in simd_kernels.h: dispatch picks
-/// scalar vs. SSE4.2 vs. AVX2 at runtime (util::CpuFeatures, overridable
-/// by the SC_DISABLE_SIMD env var and the SetKernelDispatchOverride test
-/// hook below) and the SIMD bodies are differentially tested to agree
-/// with the scalar ones bit-for-bit.
+/// kernel ran (pinned by tests/core/golden_crawl_test.cc). There is one
+/// portable tier: a vectorized twin would have to show an end-to-end win
+/// on the committed benchmark before it earns a second implementation
+/// (docs/architecture.md, "One scalar kernel tier").
 
 namespace smartcrawl::index {
 
@@ -31,36 +28,6 @@ namespace smartcrawl::index {
 /// least this many times the smaller (classic SVS cutoff: binary search
 /// wins once log2(|large|) < |large|/|small|).
 inline constexpr size_t kGallopRatio = 32;
-
-/// SIMD capability tiers in strictly increasing order — comparison
-/// operators are meaningful (kAvx2 implies kSse42 implies kScalar).
-enum class SimdTier : uint8_t {
-  kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
-};
-
-/// The tier kernel dispatch uses right now: the hardware/OS tier from
-/// util::CpuFeatures (already kScalar when SC_DISABLE_SIMD is set),
-/// further lowered by any SetKernelDispatchOverride. Cheap (one relaxed
-/// atomic load + one cached-static read); hot loops may still hoist it.
-SimdTier ActiveSimdTier();
-
-/// Test hook: force dispatch to at most `tier` (nullopt restores pure
-/// hardware detection). The override can only LOWER the tier — asking for
-/// AVX2 on an SSE-only host yields SSE, so a forced tier can never
-/// execute unsupported instructions. Not thread-safe against concurrent
-/// kernel calls; flip it only between crawls (tests, benchmarks).
-void SetKernelDispatchOverride(std::optional<SimdTier> tier);
-
-/// Lower bounds below which vector setup costs more than it saves: block
-/// merges need a few full blocks per side, vector galloping needs a large
-/// side worth probing into, and blocked bitmap AND needs one 512-bit
-/// block. Chosen by bench_hotpath sweeps; differential tests deliberately
-/// straddle them.
-inline constexpr size_t kSimdMergeMin = 16;
-inline constexpr size_t kSimdGallopMinLarge = 64;
-inline constexpr size_t kSimdBitmapMinWords = 8;
 
 /// Plain snapshot of kernel-mix tallies (order-independent sums, so
 /// parallel construction reports the same values as sequential).
@@ -74,25 +41,12 @@ struct KernelStats {
   /// Calls that materialized an intersection (IntersectPostings); the
   /// count-only path must never bump this — regression-tested.
   uint64_t materialized = 0;
-  /// Pairwise probes answered by the vectorized block merge. Exclusive
-  /// with `merge`: each PairCount call tallies exactly one variant, so the
-  /// sums show which tier actually ran.
-  uint64_t simd_merge = 0;
-  /// Pairwise probes answered by the vectorized galloping search
-  /// (exclusive with `galloping`).
-  uint64_t simd_gallop = 0;
-  /// Bitmap ANDs answered by the 512-bit-blocked AND+popcount (exclusive
-  /// with `bitmap`).
-  uint64_t bitmap_blocked = 0;
 
   KernelStats& operator+=(const KernelStats& o) {
     galloping += o.galloping;
     merge += o.merge;
     bitmap += o.bitmap;
     materialized += o.materialized;
-    simd_merge += o.simd_merge;
-    simd_gallop += o.simd_gallop;
-    bitmap_blocked += o.bitmap_blocked;
     return *this;
   }
 };
@@ -115,12 +69,6 @@ class KernelCounters {
                     std::memory_order_relaxed);
       materialized_.store(o.materialized_.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-      simd_merge_.store(o.simd_merge_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      simd_gallop_.store(o.simd_gallop_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-      bitmap_blocked_.store(o.bitmap_blocked_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
     }
     return *this;
   }
@@ -129,9 +77,6 @@ class KernelCounters {
   void CountMerge() { Bump(merge_); }
   void CountBitmap() { Bump(bitmap_); }
   void CountMaterialized() { Bump(materialized_); }
-  void CountSimdMerge() { Bump(simd_merge_); }
-  void CountSimdGallop() { Bump(simd_gallop_); }
-  void CountBitmapBlocked() { Bump(bitmap_blocked_); }
 
   [[nodiscard]] KernelStats Snapshot() const {
     KernelStats s;
@@ -139,9 +84,6 @@ class KernelCounters {
     s.merge = merge_.load(std::memory_order_relaxed);
     s.bitmap = bitmap_.load(std::memory_order_relaxed);
     s.materialized = materialized_.load(std::memory_order_relaxed);
-    s.simd_merge = simd_merge_.load(std::memory_order_relaxed);
-    s.simd_gallop = simd_gallop_.load(std::memory_order_relaxed);
-    s.bitmap_blocked = bitmap_blocked_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -154,21 +96,7 @@ class KernelCounters {
   std::atomic<uint64_t> merge_{0};
   std::atomic<uint64_t> bitmap_{0};
   std::atomic<uint64_t> materialized_{0};
-  std::atomic<uint64_t> simd_merge_{0};
-  std::atomic<uint64_t> simd_gallop_{0};
-  std::atomic<uint64_t> bitmap_blocked_{0};
 };
-
-/// Out-of-line SIMD entry points (bodies in set_kernels.cc, which is the
-/// sole includer of simd_kernels.h besides its tests — intrinsics never
-/// leak into other TUs). `tier` must be a tier ActiveSimdTier() returned;
-/// kScalar falls through to the scalar kernel.
-size_t SimdMergeCountDispatch(std::span<const uint32_t> a,
-                              std::span<const uint32_t> b, SimdTier tier);
-size_t SimdGallopCountDispatch(std::span<const uint32_t> small,
-                               std::span<const uint32_t> large, SimdTier tier);
-size_t SimdBitmapAndCountDispatch(std::span<const uint64_t> a,
-                                  std::span<const uint64_t> b, SimdTier tier);
 
 /// |a ∩ b| by branch-light linear merge: the advance of each cursor is a
 /// comparison result, not a taken branch, so the loop pipelines well on
@@ -225,30 +153,14 @@ inline size_t GallopCount(std::span<const uint32_t> small,
   return count;
 }
 
-/// Adaptive pairwise count: gallop on skew, merge otherwise; within each
-/// regime the vectorized twin takes over once the inputs clear the SIMD
-/// size floors and the runtime tier allows it.
+/// Adaptive pairwise count: gallop on skew, merge otherwise.
 inline size_t PairCount(std::span<const uint32_t> a,
                         std::span<const uint32_t> b,
                         KernelCounters* counters) {
   if (a.size() > b.size()) std::swap(a, b);
   if (a.size() * kGallopRatio < b.size()) {
-    if (b.size() >= kSimdGallopMinLarge) {
-      const SimdTier tier = ActiveSimdTier();
-      if (tier != SimdTier::kScalar) {
-        if (counters != nullptr) counters->CountSimdGallop();
-        return SimdGallopCountDispatch(a, b, tier);
-      }
-    }
     if (counters != nullptr) counters->CountGalloping();
     return GallopCount(a, b);
-  }
-  if (a.size() >= kSimdMergeMin) {
-    const SimdTier tier = ActiveSimdTier();
-    if (tier != SimdTier::kScalar) {
-      if (counters != nullptr) counters->CountSimdMerge();
-      return SimdMergeCountDispatch(a, b, tier);
-    }
   }
   if (counters != nullptr) counters->CountMerge();
   return MergeCount(a, b);
@@ -285,7 +197,7 @@ inline void PairIntersect(std::span<const uint32_t> a,
   }
 }
 
-/// popcount(a AND b) over two equally sized word arrays (scalar baseline).
+/// popcount(a AND b) over two equally sized word arrays.
 inline size_t BitmapAndCount(std::span<const uint64_t> a,
                              std::span<const uint64_t> b) {
   size_t count = 0;
@@ -296,19 +208,10 @@ inline size_t BitmapAndCount(std::span<const uint64_t> a,
   return count;
 }
 
-/// Counters-aware bitmap AND: the 512-bit-blocked AVX2 path once the maps
-/// span at least kSimdBitmapMinWords words, scalar otherwise. Tallies
-/// exactly one of {bitmap_blocked, bitmap}.
+/// Counters-aware bitmap AND: tallies one `bitmap` probe.
 inline size_t BitmapAndCount(std::span<const uint64_t> a,
                              std::span<const uint64_t> b,
                              KernelCounters* counters) {
-  if (std::min(a.size(), b.size()) >= kSimdBitmapMinWords) {
-    const SimdTier tier = ActiveSimdTier();
-    if (tier == SimdTier::kAvx2) {
-      if (counters != nullptr) counters->CountBitmapBlocked();
-      return SimdBitmapAndCountDispatch(a, b, tier);
-    }
-  }
   if (counters != nullptr) counters->CountBitmap();
   return BitmapAndCount(a, b);
 }

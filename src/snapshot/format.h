@@ -55,9 +55,9 @@ namespace smartcrawl::snapshot {
 
 /// "SCSNAP01" as a little-endian u64.
 inline constexpr uint64_t kMagic = 0x3130'5041'4e53'4353ULL;
-/// v2: KernelStats grew the per-variant SIMD tallies (simd_merge,
-/// simd_gallop, bitmap_blocked) inside the stats section.
-inline constexpr uint32_t kFormatVersion = 2;
+/// v3: KernelStats dropped the three vector-kernel tallies (v2's trailing
+/// u64s), leaving galloping, merge, bitmap and materialized.
+inline constexpr uint32_t kFormatVersion = 3;
 /// Written natively; reads back byte-swapped on an opposite-endian host.
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSectionAlign = 64;

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -35,10 +37,15 @@ Status FlagParser::SetValue(const std::string& name, const Spec& spec,
       return Status::OK();
     case Kind::kInt: {
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("--" + name +
                                        " expects an integer, got: " + value);
+      }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("--" + name +
+                                       " is out of range: " + value);
       }
       *static_cast<int64_t*>(spec.target) = v;
       return Status::OK();
@@ -49,6 +56,11 @@ Status FlagParser::SetValue(const std::string& name, const Spec& spec,
       if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("--" + name +
                                        " expects a number, got: " + value);
+      }
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("--" + name +
+                                       " expects a finite number, got: " +
+                                       value);
       }
       *static_cast<double*>(spec.target) = v;
       return Status::OK();

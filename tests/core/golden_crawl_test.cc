@@ -11,7 +11,6 @@
 #include "core/smart_crawler.h"
 #include "datagen/scenario.h"
 #include "hidden/budget.h"
-#include "index/set_kernels.h"
 #include "sample/sampler.h"
 #include "util/hash.h"
 
@@ -212,22 +211,6 @@ TEST_P(GoldenCrawlTest, ReproducesPreRefactorCrawlBitForBit) {
     EXPECT_EQ(r.stopped_early, g.stopped_early) << "threads=" << threads;
     EXPECT_EQ(Fingerprint(r), g.fingerprint) << "threads=" << threads;
   }
-}
-
-TEST_P(GoldenCrawlTest, ScalarForcedCrawlMatchesGolden) {
-  const GoldenCase& g = GetParam();
-  // The ambient runs above exercise whatever SIMD tier the host has; this
-  // one forces the scalar kernels through the dispatch override. Both
-  // must land on the same golden constants — SIMD on/off bit-identity at
-  // the crawl level.
-  index::SetKernelDispatchOverride(index::SimdTier::kScalar);
-  CrawlResult r = RunCombo(g.policy, g.er, /*threads=*/1);
-  index::SetKernelDispatchOverride(std::nullopt);
-  EXPECT_EQ(r.queries_issued, g.queries_issued);
-  EXPECT_EQ(r.covered_local_ids.size(), g.covered);
-  EXPECT_EQ(r.stats.pq_recomputes, g.pq_recomputes);
-  EXPECT_EQ(r.stopped_early, g.stopped_early);
-  EXPECT_EQ(Fingerprint(r), g.fingerprint);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -178,21 +178,29 @@ TEST(SnapshotFormat, RejectsFutureVersion) {
   const std::string path = ::testing::TempDir() + "sc_fmt_version.snap";
   snapshot::SnapshotWriter w;
   ASSERT_TRUE(w.WriteFile(path, 0).ok());
-  std::string bytes = ReadFileBytes(path);
-  // Bump the version field, then re-seal the header checksum so the
-  // version check (not the checksum check) is what rejects the file.
-  const uint32_t future = snapshot::kFormatVersion + 1;
-  std::memcpy(bytes.data() + 8, &future, sizeof future);
-  const uint64_t reseal = HashBytes64(
-      bytes.data(), offsetof(snapshot::SnapshotHeader, header_checksum),
-      snapshot::kChecksumSeed);
-  std::memcpy(bytes.data() + offsetof(snapshot::SnapshotHeader,
-                                      header_checksum),
-              &reseal, sizeof reseal);
-  WriteFileBytes(path, bytes);
-  auto reader_or = snapshot::SnapshotReader::Open(path);
-  ASSERT_FALSE(reader_or.ok());
-  EXPECT_NE(reader_or.status().ToString().find("version"), std::string::npos);
+  const std::string fresh = ReadFileBytes(path);
+  // One version ahead, and one behind: the previous version is exactly the
+  // file a plan cache written before the last format bump holds.
+  for (const uint32_t version :
+       {snapshot::kFormatVersion + 1, snapshot::kFormatVersion - 1}) {
+    std::string bytes = fresh;
+    // Rewrite the version field, then re-seal the header checksum so the
+    // version check (not the checksum check) is what rejects the file.
+    std::memcpy(bytes.data() + 8, &version, sizeof version);
+    const uint64_t reseal = HashBytes64(
+        bytes.data(), offsetof(snapshot::SnapshotHeader, header_checksum),
+        snapshot::kChecksumSeed);
+    std::memcpy(bytes.data() + offsetof(snapshot::SnapshotHeader,
+                                        header_checksum),
+                &reseal, sizeof reseal);
+    WriteFileBytes(path, bytes);
+    auto reader_or = snapshot::SnapshotReader::Open(path);
+    ASSERT_FALSE(reader_or.ok()) << "version " << version;
+    const std::string msg = reader_or.status().ToString();
+    EXPECT_NE(msg.find("format version " + std::to_string(version)),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(SnapshotFormat, RejectsTamperedHeader) {

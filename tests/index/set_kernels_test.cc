@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,9 +17,11 @@ namespace {
 using text::Document;
 using text::TermId;
 
-std::vector<uint32_t> RandomSortedSet(smartcrawl::Rng& rng, size_t max_len,
-                                      uint32_t universe) {
-  size_t len = rng.UniformIndex(max_len + 1);
+/// Sorted unique list of roughly `len` elements drawn from [0, universe):
+/// `universe` close to `len` gives dense lists (many matches), a large
+/// universe gives sparse ones.
+std::vector<uint32_t> MakeSortedList(smartcrawl::Rng& rng, size_t len,
+                                     uint32_t universe) {
   std::vector<uint32_t> v;
   v.reserve(len);
   for (size_t i = 0; i < len; ++i) {
@@ -26,6 +30,11 @@ std::vector<uint32_t> RandomSortedSet(smartcrawl::Rng& rng, size_t max_len,
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
   return v;
+}
+
+std::vector<uint32_t> RandomSortedSet(smartcrawl::Rng& rng, size_t max_len,
+                                      uint32_t universe) {
+  return MakeSortedList(rng, rng.UniformIndex(max_len + 1), universe);
 }
 
 size_t BruteCount(const std::vector<uint32_t>& a,
@@ -74,9 +83,6 @@ TEST(SetKernelsTest, AllKernelsAgreeOnRandomPairs) {
 }
 
 TEST(SetKernelsTest, PairCountSelectsKernelByRatioAndTallies) {
-  // Force the scalar tier so the regime tallies are deterministic across
-  // hosts; the SIMD-variant tallies are covered by SimdKernels tests.
-  SetKernelDispatchOverride(SimdTier::kScalar);
   KernelCounters counters;
   // 2 * kGallopRatio < 128: skewed enough to gallop.
   std::vector<uint32_t> small{10, 500};
@@ -89,19 +95,131 @@ TEST(SetKernelsTest, PairCountSelectsKernelByRatioAndTallies) {
   EXPECT_EQ(s.galloping, 1u);
   EXPECT_EQ(s.merge, 1u);
   EXPECT_EQ(s.bitmap, 0u);
-  EXPECT_EQ(s.simd_gallop, 0u);
-  EXPECT_EQ(s.simd_merge, 0u);
-  SetKernelDispatchOverride(std::nullopt);
+  // Tiny inputs on both sides take the merge as well.
+  EXPECT_EQ(PairCount(std::vector<uint32_t>{1, 2, 3},
+                      std::vector<uint32_t>{2, 3, 4}, &counters),
+            2u);
+  s = counters.Snapshot();
+  EXPECT_EQ(s.galloping, 1u);
+  EXPECT_EQ(s.merge, 2u);
+  EXPECT_EQ(s.bitmap, 0u);
+  EXPECT_EQ(s.materialized, 0u);
+}
 
-  // At the ambient tier the same inputs land in the same REGIMES; which
-  // variant column gets the tally depends on the host, but the per-regime
-  // sums are tier-independent.
-  KernelCounters ambient;
-  EXPECT_EQ(PairCount(small, large, &ambient), 2u);
-  EXPECT_EQ(PairCount(large, large, &ambient), 1000u);
-  KernelStats a = ambient.Snapshot();
-  EXPECT_EQ(a.galloping + a.simd_gallop, 1u);
-  EXPECT_EQ(a.merge + a.simd_merge, 1u);
+// ---- Size/density grid against brute-force references -------------------
+
+/// List lengths from empty through odd tails to a few thousand, crossed
+/// with dense and sparse universes (universe = len * density inverse).
+constexpr size_t kSizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17,
+                             31, 33, 64, 100, 257, 1000, 4096};
+constexpr uint32_t kDensityInv[] = {1, 2, 8, 64};
+
+TEST(SetKernelsTest, MergeAndPairCountMatchBruteForceAcrossGrid) {
+  smartcrawl::Rng rng(0x51u);
+  for (size_t na : kSizes) {
+    for (size_t nb : kSizes) {
+      for (uint32_t dinv : kDensityInv) {
+        const uint32_t universe = static_cast<uint32_t>(
+            std::max<size_t>(1, std::max(na, nb) * dinv));
+        std::vector<uint32_t> a = MakeSortedList(rng, na, universe);
+        std::vector<uint32_t> b = MakeSortedList(rng, nb, universe);
+        const size_t want = BruteCount(a, b);
+        EXPECT_EQ(MergeCount(a, b), want)
+            << "na=" << na << " nb=" << nb << " dinv=" << dinv;
+        EXPECT_EQ(PairCount(a, b, nullptr), want)
+            << "na=" << na << " nb=" << nb << " dinv=" << dinv;
+      }
+    }
+  }
+}
+
+TEST(SetKernelsTest, MergeCountAdversarialShapes) {
+  // Identical lists, fully disjoint interleaved lists, and one list
+  // entirely below the other.
+  std::vector<uint32_t> base(513);
+  for (uint32_t i = 0; i < base.size(); ++i) base[i] = 2 * i;
+  std::vector<uint32_t> odd(513);
+  for (uint32_t i = 0; i < odd.size(); ++i) odd[i] = 2 * i + 1;
+  std::vector<uint32_t> high(64);
+  for (uint32_t i = 0; i < high.size(); ++i) high[i] = 100000 + i;
+  const std::pair<std::vector<uint32_t>, std::vector<uint32_t>> cases[] = {
+      {base, base}, {base, odd}, {base, high}, {high, base}};
+  const size_t want[] = {base.size(), 0, 0, 0};
+  for (size_t c = 0; c < std::size(cases); ++c) {
+    const auto& [a, b] = cases[c];
+    ASSERT_EQ(BruteCount(a, b), want[c]) << "case " << c;
+    EXPECT_EQ(MergeCount(a, b), want[c]) << "case " << c;
+    EXPECT_EQ(GallopCount(a, b), want[c]) << "case " << c;
+    EXPECT_EQ(PairCount(a, b, nullptr), want[c]) << "case " << c;
+  }
+}
+
+TEST(SetKernelsTest, GallopCountMatchesBruteForceAcrossGrid) {
+  smartcrawl::Rng rng(0x52u);
+  for (size_t nsmall : {0, 1, 2, 5, 8, 17, 50}) {
+    for (size_t nlarge : kSizes) {
+      for (uint32_t dinv : kDensityInv) {
+        const uint32_t universe = static_cast<uint32_t>(
+            std::max<size_t>(1, std::max(nsmall, nlarge) * dinv));
+        std::vector<uint32_t> small = MakeSortedList(rng, nsmall, universe);
+        std::vector<uint32_t> large = MakeSortedList(rng, nlarge, universe);
+        EXPECT_EQ(GallopCount(small, large), BruteCount(small, large))
+            << "nsmall=" << nsmall << " nlarge=" << nlarge
+            << " dinv=" << dinv;
+      }
+    }
+  }
+}
+
+TEST(SetKernelsTest, GallopLowerBoundMatchesStdLowerBound) {
+  smartcrawl::Rng rng(0x53u);
+  for (size_t n : kSizes) {
+    std::vector<uint32_t> v =
+        MakeSortedList(rng, n, static_cast<uint32_t>(4 * n + 8));
+    const uint32_t* const begin = v.data();
+    const uint32_t* const end = v.data() + v.size();
+    // Probe every present value, its neighbors, and the extremes, from
+    // the start and from a cursor halfway in.
+    std::vector<uint32_t> probes{0, 1, 0xffffffffu};
+    for (uint32_t x : v) {
+      probes.push_back(x);
+      if (x > 0) probes.push_back(x - 1);
+      probes.push_back(x + 1);
+    }
+    for (const uint32_t* from : {begin, begin + v.size() / 2}) {
+      for (uint32_t x : probes) {
+        EXPECT_EQ(internal::GallopLowerBound(from, end, x),
+                  std::lower_bound(from, end, x))
+            << "n=" << n << " from=" << (from - begin) << " x=" << x;
+      }
+    }
+  }
+}
+
+TEST(SetKernelsTest, BitmapAndCountMatchesBitByBitLoop) {
+  smartcrawl::Rng rng(0x54u);
+  for (size_t words : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+    for (double fill : {0.0, 0.03, 0.5, 1.0}) {
+      std::vector<uint64_t> a(words, 0);
+      std::vector<uint64_t> b(words, 0);
+      for (size_t w = 0; w < words; ++w) {
+        for (int bit = 0; bit < 64; ++bit) {
+          if (rng.Bernoulli(fill)) a[w] |= uint64_t{1} << bit;
+          if (rng.Bernoulli(fill)) b[w] |= uint64_t{1} << bit;
+        }
+      }
+      size_t want = 0;
+      for (uint32_t pos = 0; pos < words * 64; ++pos) {
+        want += static_cast<size_t>(BitmapTest(a, pos) && BitmapTest(b, pos));
+      }
+      EXPECT_EQ(BitmapAndCount(a, b), want)
+          << "words=" << words << " fill=" << fill;
+      KernelCounters counters;
+      EXPECT_EQ(BitmapAndCount(a, b, &counters), want)
+          << "words=" << words << " fill=" << fill;
+      EXPECT_EQ(counters.Snapshot().bitmap, 1u);
+    }
+  }
 }
 
 TEST(SetKernelsTest, BitmapHelpers) {

@@ -125,6 +125,14 @@ TEST(ScLintRules, RawReinterpretBannedOutsideAllowlist) {
                       {"sc-raw-reinterpret", 9}}));
 }
 
+TEST(ScLintRules, IntrinsicIncludeBannedEverywhere) {
+  // No file is allowlisted, so every *intrin.h include fires, nested
+  // paths included; the feature-detection header on line 3 stays silent.
+  EXPECT_EQ(RuleLines(LintFixture("intrinsic_include.cc")),
+            (Expected{{"sc-intrinsic-include", 4},
+                      {"sc-intrinsic-include", 5}}));
+}
+
 TEST(ScLintStructure, LayerDagFiresOnUpwardInclude) {
   // util/ reaching into core/ points the wrong way along the layer order.
   EXPECT_EQ(RuleLines(LintFixture("util/uses_core.h")),
@@ -193,10 +201,10 @@ TEST(ScLintDriver, WalkModeCoversTheWholeCorpus) {
   std::string error;
   ASSERT_TRUE(RunLint(options, &report, &error)) << error;
   // Every fixture (plus the clean ones) is picked up by the walk.
-  EXPECT_GE(report.files_scanned, 28u);
+  EXPECT_GE(report.files_scanned, 29u);
   // The per-file expectations above sum to the corpus totals, so a rule
   // silently not firing in walk mode shows up here.
-  EXPECT_EQ(report.errors, 30u);
+  EXPECT_EQ(report.errors, 32u);
   EXPECT_EQ(report.warnings, 3u);
 }
 

@@ -1,5 +1,9 @@
 #include "util/flags.h"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace smartcrawl {
@@ -115,6 +119,40 @@ TEST(FlagsTest, NegativeNumbers) {
   ASSERT_TRUE(ParseArgs(p, {"--budget=-5", "--theta=-0.5"}).ok());
   EXPECT_EQ(f.budget, -5);
   EXPECT_DOUBLE_EQ(f.theta, -0.5);
+}
+
+TEST(FlagsTest, OutOfRangeIntegersFail) {
+  Flags f;
+  auto p = f.MakeParser();
+  for (const char* arg : {"--budget=99999999999999999999",
+                          "--budget=-99999999999999999999"}) {
+    Status st = ParseArgs(p, {arg});
+    EXPECT_TRUE(st.IsInvalidArgument()) << arg;
+    EXPECT_NE(st.ToString().find("out of range"), std::string::npos) << arg;
+  }
+  EXPECT_EQ(f.budget, 100) << "a rejected value must not be stored";
+  // The int64 extremes themselves still parse.
+  ASSERT_TRUE(ParseArgs(p, {"--budget=9223372036854775807"}).ok());
+  EXPECT_EQ(f.budget, INT64_MAX);
+  ASSERT_TRUE(ParseArgs(p, {"--budget=-9223372036854775808"}).ok());
+  EXPECT_EQ(f.budget, INT64_MIN);
+}
+
+TEST(FlagsTest, NonFiniteDoublesFail) {
+  Flags f;
+  auto p = f.MakeParser();
+  for (const char* arg : {"--theta=nan", "--theta=NaN", "--theta=inf",
+                          "--theta=-infinity", "--theta=1e999"}) {
+    Status st = ParseArgs(p, {arg});
+    EXPECT_TRUE(st.IsInvalidArgument()) << arg;
+    EXPECT_NE(st.ToString().find("finite"), std::string::npos) << arg;
+  }
+  EXPECT_DOUBLE_EQ(f.theta, 0.005) << "a rejected value must not be stored";
+  // Large finite values and zero still parse.
+  ASSERT_TRUE(ParseArgs(p, {"--theta=1e300"}).ok());
+  EXPECT_DOUBLE_EQ(f.theta, 1e300);
+  ASSERT_TRUE(ParseArgs(p, {"--theta=0"}).ok());
+  EXPECT_DOUBLE_EQ(f.theta, 0.0);
 }
 
 }  // namespace

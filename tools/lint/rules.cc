@@ -846,17 +846,16 @@ void CheckUnusedInclude(const FileUnit& unit, const RuleContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// sc-intrinsic-include: CPU intrinsic headers stay behind the dispatch
-// boundary
+// sc-intrinsic-include: no CPU intrinsic headers without a benchmark
 // ---------------------------------------------------------------------------
 
 /// Flags #include of the x86 intrinsic headers (<immintrin.h> and the
-/// whole *intrin.h family) anywhere but the allowlisted SIMD kernel
-/// header. Everything else must call the dispatch entry points in
-/// index/set_kernels.h, so vector code remains runtime-dispatched,
-/// differentially tested, and buildable on baseline hardware. <cpuid.h>
-/// is deliberately NOT restricted: feature *detection* is portable glue,
-/// only instruction *emission* is confined.
+/// whole *intrin.h family). The allowlist is empty: the set kernels in
+/// index/set_kernels.h are portable scalar code, and a vector twin must
+/// first show an end-to-end win on the committed benchmark, then land
+/// with an allowlist entry, its own tests and runtime dispatch. Feature
+/// detection headers are deliberately NOT restricted; only instruction
+/// *emission* is.
 void CheckIntrinsicInclude(const FileUnit& unit, const RuleContext&,
                            std::vector<Finding>* out) {
   constexpr std::string_view kSuffix = "intrin.h";
@@ -871,9 +870,10 @@ void CheckIntrinsicInclude(const FileUnit& unit, const RuleContext&,
     }
     EmitAt(out, unit, d.line, d.col, "sc-intrinsic-include",
            "\"" + d.target +
-               "\" is a CPU intrinsic header: include it only in the "
-               "allowlisted SIMD kernel header and go through the "
-               "runtime dispatch in index/set_kernels.h everywhere else");
+               "\" is a CPU intrinsic header: the set kernels in "
+               "index/set_kernels.h are portable scalar code; a vector "
+               "kernel needs a measured end-to-end win on the committed "
+               "benchmark and an allowlist entry before it lands");
   }
 }
 
@@ -909,7 +909,7 @@ const std::vector<RuleDef>& AllRules() {
        "configured tokens must be backed by a direct include",
        CheckDirectInclude},
       {"sc-intrinsic-include", Severity::kError,
-       "CPU intrinsic headers only in the allowlisted SIMD kernel header",
+       "CPU intrinsic headers only in allowlisted files (none today)",
        CheckIntrinsicInclude},
       {"sc-plan-mutation", Severity::kError,
        "CrawlPlan is immutable: no non-const members, no const_cast",

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/baseline_crawlers.h"
 #include "core/enrich.h"
@@ -59,6 +61,24 @@ struct CliConfig {
   int64_t cache_size = 0;
   int64_t net_seed = 0;
 };
+
+/// Range checks the flag parser cannot know: an empty string when every
+/// numeric flag is usable, else the first violation. Casting a negative
+/// --k or --budget to size_t would silently mean "unlimited".
+std::string ValidateRanges(const CliConfig& cfg) {
+  if (cfg.k < 1) return "--k must be >= 1";
+  if (cfg.budget < 0) return "--budget must be >= 0";
+  const std::pair<const char*, double> fractions[] = {
+      {"--jaccard", cfg.jaccard},
+      {"--theta", cfg.theta},
+      {"--match-fraction", cfg.match_fraction}};
+  for (const auto& [name, v] : fractions) {
+    if (!(v >= 0.0 && v <= 1.0)) {
+      return std::string(name) + " must be in [0, 1]";
+    }
+  }
+  return "";
+}
 
 Result<core::SelectionPolicy> ParsePolicy(const std::string& s) {
   if (s == "smart-b") return core::SelectionPolicy::kEstBiased;
@@ -427,6 +447,10 @@ int main(int argc, char** argv) {
   if (cfg.local_path.empty() || cfg.hidden_path.empty()) {
     std::fprintf(stderr, "--local and --hidden are required\n%s",
                  flags.HelpText().c_str());
+    return 2;
+  }
+  if (const std::string bad = ValidateRanges(cfg); !bad.empty()) {
+    std::fprintf(stderr, "%s\n", bad.c_str());
     return 2;
   }
   return Run(cfg);
