@@ -62,7 +62,7 @@ void BM_CacheMiss(benchmark::State& state) {
   net::CachingInterface cache(&db, 1);
   size_t i = 0;
   for (auto _ : state) {
-    auto r = cache.Search(queries[i++ % queries.size()]);
+    auto r = cache.SearchPage(queries[i++ % queries.size()]);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetItemsProcessed(state.iterations());
@@ -74,12 +74,12 @@ void BM_CacheHit(benchmark::State& state) {
   auto queries = MakeQueries(db, 256);
   net::CachingInterface cache(&db, queries.size());
   for (const auto& q : queries) {
-    auto r = cache.Search(q);
+    auto r = cache.SearchPage(q);
     benchmark::DoNotOptimize(r.ok());
   }
   size_t i = 0;
   for (auto _ : state) {
-    auto r = cache.Search(queries[i++ % queries.size()]);
+    auto r = cache.SearchPage(queries[i++ % queries.size()]);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetItemsProcessed(state.iterations());
@@ -100,7 +100,7 @@ void BM_RetryOverhead(benchmark::State& state) {
   net::ResilientClient client(&faults, ropt, &clock);
   size_t i = 0;
   for (auto _ : state) {
-    auto r = client.Search(queries[i++ % queries.size()]);
+    auto r = client.SearchPage(queries[i++ % queries.size()]);
     benchmark::DoNotOptimize(r.ok());
   }
   state.SetItemsProcessed(state.iterations());

@@ -58,7 +58,7 @@ Result<CrawlResult> NaiveCrawl(const table::Table& local,
       if (!text_or.ok()) return text_or.status();
       query_text = std::move(text_or).value();
     }
-    auto page_or = iface->Search({query_text});
+    auto page_or = iface->SearchPage({query_text});
     if (!page_or.ok()) {
       if (page_or.status().IsBudgetExhausted()) break;
       if (page_or.status().IsUnavailable()) {
@@ -70,7 +70,7 @@ Result<CrawlResult> NaiveCrawl(const table::Table& local,
     }
     --budget_left;
     ++result.queries_issued;
-    LogPage(&result, std::move(query_text), page_or.value(),
+    LogPage(&result, std::move(query_text), (*page_or)->records(),
             options.keep_crawled_records, &crawled_keys);
   }
   result.stopped_early = budget_left > 0;
@@ -109,7 +109,7 @@ Result<CrawlResult> FullCrawl(const sample::HiddenSample& sample,
   size_t budget_left = budget;
   for (const auto& [keyword, f] : ordered) {
     if (budget_left == 0) break;
-    auto page_or = iface->Search({keyword});
+    auto page_or = iface->SearchPage({keyword});
     if (!page_or.ok()) {
       if (page_or.status().IsBudgetExhausted()) break;
       if (page_or.status().IsUnavailable()) {
@@ -121,7 +121,7 @@ Result<CrawlResult> FullCrawl(const sample::HiddenSample& sample,
     }
     --budget_left;
     ++result.queries_issued;
-    IterationLog& log = (LogPage(&result, keyword, page_or.value(),
+    IterationLog& log = (LogPage(&result, keyword, (*page_or)->records(),
                                  options.keep_crawled_records, &crawled_keys),
                          result.iterations.back());
     log.estimated_benefit = static_cast<double>(f);

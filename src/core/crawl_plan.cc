@@ -383,6 +383,7 @@ std::vector<table::RecordId> CrawlPlan::MatchPage(
 std::vector<table::RecordId> CrawlPlan::ActivePostings(
     QueryIdx q, std::span<const uint8_t> removed) const {
   std::vector<table::RecordId> out;
+  out.reserve(pool_.local_postings[q].size());
   for (index::DocIndex d : pool_.local_postings[q]) {
     if (!removed[d]) out.push_back(d);
   }

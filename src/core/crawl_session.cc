@@ -140,7 +140,7 @@ Result<bool> CrawlSession::IssueNext(hidden::KeywordSearchInterface* iface) {
       return false;
     }
 
-    auto page_or = iface->Search(plan_->pool().queries[q].keywords);
+    auto page_or = iface->SearchPage(plan_->pool().queries[q].keywords);
     if (!page_or.ok()) {
       if (page_or.status().IsBudgetExhausted()) {
         // Out of quota mid-call: keep the selected query for the next
@@ -179,7 +179,8 @@ Result<bool> CrawlSession::IssueNext() {
 void CrawlSession::ProcessPendingPage() {
   assert(pending_ && "IssueNext must have returned a page");
   const QueryIdx q = pending_query_;
-  const std::vector<table::Record>& page = pending_page_;
+  const hidden::Page& page = *pending_page_;
+  const std::vector<table::Record>& records = page.records();
   const SmartCrawlOptions& options = plan_->options();
 
   const bool est_policy = options.policy == SelectionPolicy::kEstBiased ||
@@ -193,18 +194,19 @@ void CrawlSession::ProcessPendingPage() {
           ? pending_priority_ - kLivenessEpsilon
           : pending_priority_;
   log.page_entities.reserve(page.size());
-  for (const auto& rec : page) log.page_entities.push_back(rec.entity_id);
+  for (const auto& rec : records) {
+    log.page_entities.push_back(rec.entity_id);
+  }
   result_.iterations.push_back(std::move(log));
 
   if (options.keep_crawled_records) {
-    for (const auto& rec : page) {
+    for (const auto& rec : records) {
       uint64_t key = rec.entity_id != table::kUnknownEntity
                          ? rec.entity_id
                          : static_cast<uint64_t>(rec.id);
       // Dedup across resumed calls; this call's result only gets records
       // first crawled now.
-      if (crawled_keys_.emplace(key, crawled_records_.size()).second) {
-        crawled_records_.push_back(rec);
+      if (crawled_keys_.insert(key).second) {
         result_.crawled_records.push_back(rec);
       }
     }
@@ -212,7 +214,7 @@ void CrawlSession::ProcessPendingPage() {
 
   std::vector<table::RecordId> covered_now =
       page_memo_ != nullptr ? page_memo_->Match(*plan_, q, page, removed_)
-                            : plan_->MatchPage(q, page, removed_);
+                            : plan_->MatchPage(q, records, removed_);
   for (table::RecordId d : covered_now) covered_[d] = 1;
 
   dirty_frontier_.clear();  // reused scratch: no per-page allocation
@@ -227,6 +229,7 @@ void CrawlSession::ProcessPendingPage() {
       std::vector<table::RecordId> active =
           plan_->ActivePostings(q, removed_);
       std::vector<table::RecordId> unmatched;
+      unmatched.reserve(active.size());
       for (table::RecordId d : active) {
         if (!std::binary_search(covered_now.begin(), covered_now.end(),
                                 d)) {
@@ -249,7 +252,10 @@ void CrawlSession::ProcessPendingPage() {
       if (page_solid && options.remove_unmatched_solid) {
         // Sec. 4.2: for a solid query, q(H) was fully returned; any
         // unmatched record of q(D) provably has no match in H.
-        for (table::RecordId d : plan_->ActivePostings(q, removed_)) {
+        std::vector<table::RecordId> active =
+            plan_->ActivePostings(q, removed_);
+        to_remove.reserve(to_remove.size() + active.size());
+        for (table::RecordId d : active) {
           if (!std::binary_search(covered_now.begin(), covered_now.end(),
                                   d)) {
             to_remove.push_back(d);
@@ -276,9 +282,10 @@ void CrawlSession::ProcessPendingPage() {
   for (QueryIdx dq : dirtied) pq_->MarkDirty(dq);
 
   pending_ = false;
-  // clear() keeps the capacity: the next IssueNext move-assigns a fresh
-  // page anyway, and steady-state rounds must not churn the allocator.
-  pending_page_.clear();
+  // Drops this session's hold on the shared page. A cache-served page stays
+  // alive in the cache, so steady-state rounds do not churn the allocator
+  // (pinned by tests/core/page_alloc_test.cc).
+  pending_page_.reset();
 }
 
 CrawlResult CrawlSession::TakeResult() {

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/crawl_plan.h"
@@ -165,9 +165,9 @@ class CrawlSession {
   /// Scratch for ProcessPendingPage's dirty frontier, reused across pages
   /// so steady-state page processing allocates nothing per round.
   std::vector<QueryIdx> dirty_frontier_;
-  /// Crawled-record dedup across calls (keep_crawled_records).
-  std::unordered_map<uint64_t, size_t> crawled_keys_;
-  std::vector<table::Record> crawled_records_;
+  /// Keys of the records already crawled, so a resumed call reports only
+  /// records first crawled in it (keep_crawled_records).
+  std::unordered_set<uint64_t> crawled_keys_;
 
   std::unique_ptr<net::TransportStack> transport_;
 
@@ -181,7 +181,10 @@ class CrawlSession {
   bool pending_ = false;
   QueryIdx pending_query_ = 0;
   double pending_priority_ = 0.0;
-  std::vector<table::Record> pending_page_;
+  /// Shared with the cache and the other sessions that issued the same
+  /// query; dropped (not freed, unless this was the last holder) once
+  /// processed.
+  hidden::PageRef pending_page_;
 };
 
 }  // namespace smartcrawl::core

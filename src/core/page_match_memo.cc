@@ -2,26 +2,12 @@
 
 #include <algorithm>
 #include <functional>
-#include <string>
 
 #include "util/hash.h"
 
 namespace smartcrawl::core {
 
 namespace {
-
-/// Content fingerprint over every field of every record, in page order.
-uint64_t PageFingerprint(const std::vector<table::Record>& page) {
-  Fingerprint64 fp;
-  fp.AppendU64(page.size());
-  for (const table::Record& rec : page) {
-    fp.AppendU64(rec.id);
-    fp.AppendU64(rec.entity_id);
-    fp.AppendU64(rec.fields.size());
-    for (const std::string& field : rec.fields) fp.AppendString(field);
-  }
-  return fp.Digest();
-}
 
 bool SameIds(
     const std::vector<std::pair<table::RecordId, table::EntityId>>& ids,
@@ -42,18 +28,21 @@ size_t PageMatchMemo::KeyHash::operator()(const Key& k) const {
 }
 
 std::vector<table::RecordId> PageMatchMemo::Match(
-    const CrawlPlan& plan, QueryIdx q, const std::vector<table::Record>& page,
+    const CrawlPlan& plan, QueryIdx q, const hidden::Page& page,
     std::span<const uint8_t> removed) {
+  const std::vector<table::Record>& records = page.records();
   // The entity-oracle mode matches by a hash lookup per record, cheaper
-  // than fingerprinting the page; only text matching is worth sharing.
-  if (!plan.needs_page_documents()) return plan.MatchPage(q, page, removed);
+  // than a memo lookup; only text matching is worth sharing.
+  if (!plan.needs_page_documents()) {
+    return plan.MatchPage(q, records, removed);
+  }
 
-  const Key key{&plan, q, PageFingerprint(page)};
+  const Key key{&plan, q, page.fingerprint()};
   const std::vector<table::RecordId>* all = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
-    if (it != entries_.end() && SameIds(it->second.ids, page)) {
+    if (it != entries_.end() && SameIds(it->second.ids, records)) {
       ++hits_;
       all = &it->second.matches;  // immutable until Clear()
     } else {
@@ -62,10 +51,10 @@ std::vector<table::RecordId> PageMatchMemo::Match(
   }
   std::vector<table::RecordId> computed;
   if (all == nullptr) {
-    computed = plan.MatchPage(q, page, /*removed=*/{});
+    computed = plan.MatchPage(q, records, /*removed=*/{});
     Entry entry;
-    entry.ids.reserve(page.size());
-    for (const table::Record& rec : page) {
+    entry.ids.reserve(records.size());
+    for (const table::Record& rec : records) {
       entry.ids.emplace_back(rec.id, rec.entity_id);
     }
     entry.matches = computed;

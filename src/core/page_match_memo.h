@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/crawl_plan.h"
+#include "hidden/page.h"
 #include "table/table.h"
 #include "util/thread_annotations.h"
 
@@ -29,10 +30,12 @@
 /// records alone, and Match() returns exactly what CrawlPlan::MatchPage
 /// would (pinned by tests/core/page_match_test.cc).
 ///
-/// Keys are (plan identity, query index, content fingerprint of the page);
-/// a hit is confirmed against the page's (record id, entity id) sequence.
-/// Fault injection truncates and duplicates pages per tenant, so such
-/// variants have different content and get entries of their own.
+/// Keys are (plan identity, query index, hidden::Page::fingerprint()), the
+/// content fingerprint the page computed once when it was built, so a
+/// lookup hashes no fields; a hit is confirmed against the page's
+/// (record id, entity id) sequence. Fault injection truncates and
+/// duplicates pages per tenant, so such variants have different content
+/// and get entries of their own.
 ///
 /// Thread safety: Match() may be called concurrently. The map is guarded
 /// by one mutex; a miss computes outside the lock, and a lost insertion
@@ -57,7 +60,7 @@ class PageMatchMemo {
   /// records matched by `page`, restricted to records not set in `removed`
   /// (an empty span means all of D). `plan` must outlive the entries.
   std::vector<table::RecordId> Match(const CrawlPlan& plan, QueryIdx q,
-                                     const std::vector<table::Record>& page,
+                                     const hidden::Page& page,
                                      std::span<const uint8_t> removed)
       SC_EXCLUDES(mu_);
 

@@ -23,8 +23,12 @@ class BudgetedInterface : public KeywordSearchInterface {
   BudgetedInterface(KeywordSearchInterface* inner, size_t budget)
       : inner_(inner), budget_(budget) {}
 
-  [[nodiscard]] Result<std::vector<table::Record>> Search(
+  [[nodiscard]] Result<PageRef> SearchPage(
       const std::vector<std::string>& keywords) override;
+  [[nodiscard]] Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
 
   [[nodiscard]] size_t top_k() const override { return inner_->top_k(); }
   [[nodiscard]] size_t num_queries_issued() const override { return used_; }

@@ -39,7 +39,7 @@ class DailyQuotaInterface : public KeywordSearchInterface {
   DailyQuotaInterface(KeywordSearchInterface* inner, size_t quota_per_day)
       : inner_(inner), quota_(quota_per_day) {}
 
-  Result<std::vector<table::Record>> Search(
+  Result<PageRef> SearchPage(
       const std::vector<std::string>& keywords) override {
     if (used_today_ >= quota_) {
       return Status::BudgetExhausted(
@@ -47,11 +47,15 @@ class DailyQuotaInterface : public KeywordSearchInterface {
           " requests exhausted (day " + std::to_string(day_) + ")");
     }
     size_t before = inner_->num_queries_issued();
-    auto result = inner_->Search(keywords);
+    auto result = inner_->SearchPage(keywords);
     size_t issued = inner_->num_queries_issued() - before;
     used_today_ += issued;
     total_ += issued;
     return result;
+  }
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
   }
 
   size_t top_k() const override { return inner_->top_k(); }

@@ -90,7 +90,7 @@ std::vector<table::RecordId> HiddenDatabase::EvaluateTopK(
   return ranker_->TopK(std::move(matches), q.terms, options_.top_k);
 }
 
-Result<std::vector<table::Record>> HiddenDatabase::Search(
+Result<PageRef> HiddenDatabase::SearchPage(
     const std::vector<std::string>& keywords) {
   ParsedQuery q = ParseQuery(keywords);
   if (q.empty()) {
@@ -102,7 +102,7 @@ Result<std::vector<table::Record>> HiddenDatabase::Search(
   std::vector<table::Record> out;
   out.reserve(top.size());
   for (table::RecordId id : top) out.push_back(records_.record(id));
-  return out;
+  return MakePage(std::move(out));
 }
 
 std::vector<table::RecordId> HiddenDatabase::OracleMatches(

@@ -69,8 +69,12 @@ class HiddenDatabase : public KeywordSearchInterface {
 
   // --- The restrictive public interface (what crawlers see) ---------------
 
-  Result<std::vector<table::Record>> Search(
+  Result<PageRef> SearchPage(
       const std::vector<std::string>& keywords) override;
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
 
   size_t top_k() const override { return options_.top_k; }
   size_t num_queries_issued() const override { return num_queries_; }

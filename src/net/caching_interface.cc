@@ -19,9 +19,9 @@ std::string CachingInterface::NormalizedKey(
   return Join(normalized, "\x1f");
 }
 
-Result<std::vector<table::Record>> CachingInterface::Search(
+Result<hidden::PageRef> CachingInterface::SearchPage(
     const std::vector<std::string>& keywords) {
-  if (capacity_ == 0) return inner_->Search(keywords);
+  if (capacity_ == 0) return inner_->SearchPage(keywords);
 
   std::string key = NormalizedKey(keywords);
   // The lock is held across the inner call on purpose: concurrent callers
@@ -31,19 +31,18 @@ Result<std::vector<table::Record>> CachingInterface::Search(
   if (it != index_.end()) {
     ++stats_.hits;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return it->second->page;  // copy: callers own their pages
+    return it->second->page;  // the shared page: a refcount bump
   }
   ++stats_.misses;
 
-  Result<std::vector<table::Record>> result = inner_->Search(keywords);
+  Result<hidden::PageRef> result = inner_->SearchPage(keywords);
   if (!result.ok()) return result;
-  std::vector<table::Record> page = std::move(result).value();
 
-  entries_.push_front(Entry{std::move(key), page});
+  entries_.push_front(Entry{std::move(key), *result});
   index_[entries_.front().key] = entries_.begin();
   ++stats_.insertions;
   EvictIfOverCapacity();
-  return page;
+  return result;
 }
 
 void CachingInterface::EvictIfOverCapacity() {

@@ -23,6 +23,12 @@
 /// so {"Noodle", "house"} and {"house", "noodle", "noodle"} share one
 /// entry, mirroring the engine's own set semantics.
 ///
+/// Entries hold the page handle (hidden::PageRef), not a copy: every hit
+/// on an entry returns the same immutable page object, so a hit copies no
+/// records, and the page lives on while any caller still holds it after
+/// eviction. Search() copies the records out for callers that want their
+/// own.
+///
 /// Only successful pages are cached; errors (including kUnavailable from
 /// lower layers) always pass through. In the canonical stack the cache is
 /// the OUTERMOST layer — a hit costs neither a retry attempt nor budget.
@@ -31,7 +37,7 @@
 /// concurrent tenants of a multi-tenant CrawlService may touch at once, so
 /// the LRU state is guarded by one mutex (SC_GUARDED_BY below; enforced by
 /// sc-guarded-by and Clang -Wthread-safety). A miss keeps that lock held
-/// across the inner Search: the decorated layers beneath (budget, quota,
+/// across the inner SearchPage: the decorated layers beneath (budget, quota,
 /// fault injection) are deliberately unsynchronized, and funneling every
 /// inner call through the cache's lock keeps their bookkeeping race-free.
 
@@ -68,8 +74,14 @@ class CachingInterface : public hidden::KeywordSearchInterface {
     assert(num_shards == 1 && "the cache has one shard");
   }
 
-  Result<std::vector<table::Record>> Search(
+  /// A hit returns the stored handle: the same immutable page object for
+  /// every caller, copied by no one.
+  Result<hidden::PageRef> SearchPage(
       const std::vector<std::string>& keywords) override;
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
 
   size_t top_k() const override { return inner_->top_k(); }
   /// Cache hits issue nothing: the provider-side count is the inner one.
@@ -89,7 +101,7 @@ class CachingInterface : public hidden::KeywordSearchInterface {
  private:
   struct Entry {
     std::string key;
-    std::vector<table::Record> page;
+    hidden::PageRef page;
   };
 
   /// Drops least-recently-used entries until entries_.size() <= capacity_.
@@ -97,7 +109,7 @@ class CachingInterface : public hidden::KeywordSearchInterface {
 
   hidden::KeywordSearchInterface* inner_;
   const size_t capacity_;
-  /// Guards the LRU state and, on a miss, the inner Search (see file
+  /// Guards the LRU state and, on a miss, the inner SearchPage (see file
   /// comment).
   mutable std::mutex mu_;
   /// Most-recently-used at the front.

@@ -1,8 +1,11 @@
 #include "net/fault_injection.h"
 
+#include <cstddef>
+#include <utility>
+
 namespace smartcrawl::net {
 
-Result<std::vector<table::Record>> FaultInjectingInterface::Search(
+Result<hidden::PageRef> FaultInjectingInterface::SearchPage(
     const std::vector<std::string>& keywords) {
   ++stats_.attempts_seen;
 
@@ -27,21 +30,35 @@ Result<std::vector<table::Record>> FaultInjectingInterface::Search(
     return Status::Unavailable("injected transient transport failure");
   }
 
-  auto result = inner_->Search(keywords);
+  auto result = inner_->SearchPage(keywords);
   if (!result.ok()) return result;
-  std::vector<table::Record> page = std::move(result).value();
+  const std::vector<table::Record>& served = (*result)->records();
 
-  if (page.size() >= 2 && rng_.Bernoulli(options_.truncate_rate)) {
+  // An unfaulted page is passed through as the inner handle; a faulted one
+  // is a new page, so the variant never leaks into the shared original.
+  std::vector<table::Record> faulted;
+  bool changed = false;
+  if (served.size() >= 2 && rng_.Bernoulli(options_.truncate_rate)) {
     // Keep a uniform strict prefix of length in [1, size-1].
-    size_t keep = 1 + static_cast<size_t>(rng_.UniformIndex(page.size() - 1));
-    page.resize(keep);
+    auto keep =
+        static_cast<ptrdiff_t>(1 + rng_.UniformIndex(served.size() - 1));
+    faulted.assign(served.begin(), served.begin() + keep);
+    changed = true;
     ++stats_.truncated_pages;
   }
+  const std::vector<table::Record>& page = changed ? faulted : served;
   if (!page.empty() && rng_.Bernoulli(options_.duplicate_rate)) {
-    page.push_back(page[rng_.UniformIndex(page.size())]);
+    const auto dup = static_cast<size_t>(rng_.UniformIndex(page.size()));
+    if (!changed) {
+      faulted.reserve(served.size() + 1);
+      faulted.assign(served.begin(), served.end());
+      changed = true;
+    }
+    faulted.push_back(faulted[dup]);
     ++stats_.duplicated_pages;
   }
-  return page;
+  if (!changed) return result;
+  return hidden::MakePage(std::move(faulted));
 }
 
 }  // namespace smartcrawl::net

@@ -76,8 +76,14 @@ class FaultInjectingInterface : public hidden::KeywordSearchInterface {
                           SimulatedClock* clock = nullptr)
       : inner_(inner), options_(options), clock_(clock), rng_(options.seed) {}
 
-  Result<std::vector<table::Record>> Search(
+  /// Passes the inner page handle through untouched; builds a new page
+  /// only when it truncates or duplicates.
+  Result<hidden::PageRef> SearchPage(
       const std::vector<std::string>& keywords) override;
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
 
   size_t top_k() const override { return inner_->top_k(); }
   /// Faulted attempts never reach the engine, so the accepted-query count

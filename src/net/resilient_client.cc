@@ -21,7 +21,7 @@ uint64_t ResilientClient::BackoffMs(size_t retry_index,
   return std::max(wait, retry_after_hint_ms);
 }
 
-Result<std::vector<table::Record>> ResilientClient::Search(
+Result<hidden::PageRef> ResilientClient::SearchPage(
     const std::vector<std::string>& keywords) {
   Status last = Status::Unavailable("no attempt made");
   for (size_t attempt = 0; attempt < std::max<size_t>(options_.max_attempts, 1);
@@ -39,7 +39,7 @@ Result<std::vector<table::Record>> ResilientClient::Search(
     }
 
     ++stats_.attempts;
-    auto result = inner_->Search(keywords);
+    auto result = inner_->SearchPage(keywords);
     if (result.ok()) {
       ++stats_.successes;
       consecutive_failures_ = 0;

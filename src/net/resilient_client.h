@@ -71,7 +71,7 @@ struct RetryOptions {
 
 /// Retry-layer counters (part of net::TransportStats).
 struct RetryStats {
-  size_t attempts = 0;        ///< inner Search calls made
+  size_t attempts = 0;        ///< inner SearchPage calls made
   size_t successes = 0;       ///< Search calls that returned a page
   size_t retries = 0;         ///< extra attempts after a retryable failure
   size_t gave_up = 0;         ///< Search calls that escaped as kUnavailable
@@ -89,8 +89,12 @@ class ResilientClient : public hidden::KeywordSearchInterface {
                   SimulatedClock* clock = nullptr)
       : inner_(inner), options_(options), clock_(clock), rng_(options.seed) {}
 
-  Result<std::vector<table::Record>> Search(
+  Result<hidden::PageRef> SearchPage(
       const std::vector<std::string>& keywords) override;
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
 
   size_t top_k() const override { return inner_->top_k(); }
   size_t num_queries_issued() const override {

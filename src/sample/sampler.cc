@@ -114,10 +114,10 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
     // query with a keyword from a random record of the page.
     std::vector<std::string> query = {
         query_pool[rng.UniformIndex(query_pool.size())]};
-    std::vector<table::Record> page;
+    hidden::PageRef page;
     bool solid = false;
     for (size_t depth = 0; depth <= options.max_refinements; ++depth) {
-      auto page_or = iface->Search(query);
+      auto page_or = iface->SearchPage(query);
       if (!page_or.ok()) {
         if (page_or.status().IsBudgetExhausted()) out_of_budget = true;
         if (page_or.status().IsUnavailable()) ++unavailable_attempts;
@@ -125,14 +125,15 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
       }
       ++queries;
       page = std::move(page_or).value();
-      if (options.page_observer) options.page_observer(query, page);
-      if (page.empty()) break;
-      if (page.size() < k) {
+      if (options.page_observer) options.page_observer(query, page->records());
+      if (page->empty()) break;
+      if (page->size() < k) {
         solid = true;
         break;
       }
       // Refine: conjoin a keyword of a random returned record.
-      const table::Record& pivot = page[rng.UniformIndex(page.size())];
+      const table::Record& pivot =
+          page->records()[rng.UniformIndex(page->size())];
       std::vector<std::string> words;
       for (const std::string& field : pivot.fields) {
         for (auto& t : text::Tokenize(field, tok)) words.push_back(std::move(t));
@@ -140,9 +141,9 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
       if (words.empty()) break;
       query.push_back(words[rng.UniformIndex(words.size())]);
     }
-    if (!solid || page.empty()) continue;
+    if (!solid || page->empty()) continue;  // solid implies a page
 
-    const table::Record& rec = page[rng.UniformIndex(page.size())];
+    const table::Record& rec = page->records()[rng.UniformIndex(page->size())];
     // deg(h): how many pool keywords this record contains — computable
     // client-side from the returned record text.
     size_t deg = 0;

@@ -9,6 +9,7 @@
 #include "core/crawl_plan.h"
 #include "core/page_match_memo.h"
 #include "datagen/scenario.h"
+#include "hidden/page.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -20,7 +21,8 @@
 ///     exactly like documents interned into a growing dictionary copy, in
 ///     every ER mode, including pages built to stress unknown tokens.
 ///  2. PageMatchMemo::Match equals CrawlPlan::MatchPreparedPage under any
-///     removed bitmap, and keys its entries by plan, query and content.
+///     removed bitmap, and keys its entries by plan, query and the page's
+///     content fingerprint (hidden::Page::fingerprint()).
 namespace smartcrawl::core {
 namespace {
 
@@ -95,17 +97,17 @@ std::vector<std::vector<table::Record>> EdgePages(
 
 /// (query, page) pairs: real top-k pages of a spread of pool queries, and
 /// the edge pages around each query's first local record.
-std::vector<std::pair<QueryIdx, std::vector<table::Record>>> TestPages(
+std::vector<std::pair<QueryIdx, hidden::PageRef>> TestPages(
     const datagen::Scenario& s, const CrawlPlan& plan) {
-  std::vector<std::pair<QueryIdx, std::vector<table::Record>>> out;
+  std::vector<std::pair<QueryIdx, hidden::PageRef>> out;
   const size_t stride = std::max<size_t>(1, plan.pool().size() / 60);
   for (QueryIdx q = 0; q < plan.pool().size(); q += stride) {
-    auto page = s.hidden->Search(plan.pool().queries[q].keywords);
+    auto page = s.hidden->SearchPage(plan.pool().queries[q].keywords);
     EXPECT_TRUE(page.ok()) << page.status().ToString();
     if (page.ok()) out.emplace_back(q, std::move(page).value());
     if (plan.pool().local_postings[q].empty()) continue;
     for (auto& edge : EdgePages(s, plan.pool().local_postings[q][0])) {
-      out.emplace_back(q, std::move(edge));
+      out.emplace_back(q, hidden::MakePage(std::move(edge)));
     }
   }
   return out;
@@ -135,7 +137,8 @@ TEST(PageMatchTest, FrozenDocumentsMatchLikeInternedInEveryErMode) {
     text::TermDictionary dict = plan->dict();
     Rng rng(17);
     size_t matched_pairs = 0;
-    for (const auto& [q, page] : TestPages(*s, *plan)) {
+    for (const auto& [q, page_ref] : TestPages(*s, *plan)) {
+      const std::vector<table::Record>& page = page_ref->records();
       std::vector<text::Document> interned =
           CrawlPlan::BuildPageDocuments(page, &dict);
       std::vector<text::Document> frozen = plan->FrozenPageDocuments(page);
@@ -194,11 +197,12 @@ TEST(PageMatchTest, MemoFilteredThroughRemovedEqualsDirectMatch) {
     const auto pages = TestPages(*s, *plan);
     for (int pass = 0; pass < 2; ++pass) {  // misses, then hits
       for (const auto& [q, page] : pages) {
-        std::vector<text::Document> docs = plan->FrozenPageDocuments(page);
+        const std::vector<table::Record>& records = page->records();
+        std::vector<text::Document> docs = plan->FrozenPageDocuments(records);
         for (const auto& removed :
              RemovedBitmaps(plan->num_records(), rng)) {
-          EXPECT_EQ(memo.Match(*plan, q, page, removed),
-                    plan->MatchPreparedPage(q, page, &docs, removed));
+          EXPECT_EQ(memo.Match(*plan, q, *page, removed),
+                    plan->MatchPreparedPage(q, records, &docs, removed));
         }
       }
     }
@@ -238,14 +242,20 @@ TEST(PageMatchTest, TruncatedAndDuplicatedPagesGetTheirOwnEntries) {
   std::vector<table::Record> duplicated = full;
   duplicated.push_back(full.front());
 
+  // Each variant is its own Page, so its fingerprint is its own.
+  const hidden::PageRef pages[] = {hidden::MakePage(full),
+                                   hidden::MakePage(std::move(truncated)),
+                                   hidden::MakePage(std::move(duplicated))};
   PageMatchMemo memo;
-  for (const auto* page : {&full, &truncated, &duplicated}) {
-    EXPECT_EQ(memo.Match(*plan, q, *page, {}), plan->MatchPage(q, *page, {}));
+  for (const hidden::PageRef& page : pages) {
+    EXPECT_EQ(memo.Match(*plan, q, *page, {}),
+              plan->MatchPage(q, page->records(), {}));
   }
   EXPECT_EQ(memo.stats().entries, 3u);
   EXPECT_EQ(memo.stats().misses, 3u);
-  for (const auto* page : {&full, &truncated, &duplicated}) {
-    EXPECT_EQ(memo.Match(*plan, q, *page, {}), plan->MatchPage(q, *page, {}));
+  for (const hidden::PageRef& page : pages) {
+    EXPECT_EQ(memo.Match(*plan, q, *page, {}),
+              plan->MatchPage(q, page->records(), {}));
   }
   EXPECT_EQ(memo.stats().entries, 3u);
   EXPECT_EQ(memo.stats().hits, 3u);
@@ -265,10 +275,10 @@ TEST(PageMatchTest, SamePageUnderTwoPlansNeverSharesAnEntry) {
   size_t pages = 0;
   bool differs = false;
   for (const auto& [q, page] : TestPages(*s, *strict)) {
-    std::vector<table::RecordId> a = memo.Match(*strict, q, page, {});
-    std::vector<table::RecordId> b = memo.Match(*loose, q, page, {});
-    EXPECT_EQ(a, strict->MatchPage(q, page, {}));
-    EXPECT_EQ(b, loose->MatchPage(q, page, {}));
+    std::vector<table::RecordId> a = memo.Match(*strict, q, *page, {});
+    std::vector<table::RecordId> b = memo.Match(*loose, q, *page, {});
+    EXPECT_EQ(a, strict->MatchPage(q, page->records(), {}));
+    EXPECT_EQ(b, loose->MatchPage(q, page->records(), {}));
     differs = differs || a != b;
     ++pages;
   }
@@ -287,7 +297,7 @@ TEST(PageMatchTest, ConcurrentMatchesAgreeWithDirectMatch) {
   const auto pages = TestPages(*s, *plan);
   std::vector<std::vector<table::RecordId>> want(pages.size());
   for (size_t i = 0; i < pages.size(); ++i) {
-    want[i] = plan->MatchPage(pages[i].first, pages[i].second, {});
+    want[i] = plan->MatchPage(pages[i].first, pages[i].second->records(), {});
   }
   PageMatchMemo memo;
   constexpr size_t kRepeats = 4;
@@ -295,7 +305,7 @@ TEST(PageMatchTest, ConcurrentMatchesAgreeWithDirectMatch) {
   util::ThreadPool pool(4);
   pool.ParallelFor(0, got.size(), /*grain=*/1, [&](size_t i) {
     const auto& [q, page] = pages[i % pages.size()];
-    got[i] = memo.Match(*plan, q, page, {});
+    got[i] = memo.Match(*plan, q, *page, {});
   });
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i % pages.size()]) << "call " << i;

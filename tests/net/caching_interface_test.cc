@@ -40,6 +40,36 @@ TEST(NetCachingTest, RepeatedQueriesHitTheCache) {
   }
 }
 
+TEST(NetCachingTest, HitsShareOnePageAndSearchCopiesItOut) {
+  auto db = SmallDb();
+  CachingInterface cache(&db, 16);
+  auto first = cache.SearchPage({"beta", "Alpha"});
+  ASSERT_TRUE(first.ok());
+  // Keyword sets that normalize equal are served the very same page.
+  auto second = cache.SearchPage({"ALPHA", "beta", "beta"});
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->get(), first->get());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(db.num_queries_issued(), 1u);
+  auto other = cache.SearchPage({"gamma"});
+  ASSERT_TRUE(other.ok());
+  EXPECT_NE(other->get(), first->get());
+
+  // Search hands out an equal private copy of the shared page.
+  auto copy = cache.Search({"alpha", "beta"});
+  ASSERT_TRUE(copy.ok());
+  const std::vector<table::Record>& shared = (*first)->records();
+  ASSERT_EQ(copy->size(), shared.size());
+  ASSERT_FALSE(shared.empty());
+  for (size_t i = 0; i < shared.size(); ++i) {
+    EXPECT_EQ((*copy)[i].id, shared[i].id);
+    EXPECT_EQ((*copy)[i].entity_id, shared[i].entity_id);
+    EXPECT_EQ((*copy)[i].fields, shared[i].fields);
+    EXPECT_NE(&(*copy)[i], &shared[i]);
+  }
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
 TEST(NetCachingTest, KeyNormalizesOrderCaseAndDuplicates) {
   EXPECT_EQ(CachingInterface::NormalizedKey({"Noodle", "house"}),
             CachingInterface::NormalizedKey({"house", "noodle", "NOODLE"}));

@@ -1,8 +1,15 @@
 #include "net/fault_injection.h"
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "hidden/hidden_database.h"
+#include "net/caching_interface.h"
+#include "util/random.h"
 
 namespace smartcrawl::net {
 namespace {
@@ -138,6 +145,120 @@ TEST(NetFaultInjectionTest, DuplicatedPagesRepeatAnExistingRecord) {
   }
   EXPECT_GE(occurrences, 2u);
   EXPECT_EQ(iface.stats().duplicated_pages, 1u);
+}
+
+TEST(NetFaultInjectionTest, UnfaultedPageIsTheInnerHandle) {
+  auto db = SmallDb();
+  CachingInterface cache(&db, 16);
+  FaultInjectingInterface iface(&cache, FaultOptions{});
+  auto inner = cache.SearchPage({"beta"});
+  ASSERT_TRUE(inner.ok());
+  for (int i = 0; i < 3; ++i) {
+    auto r = iface.SearchPage({"beta"});
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->get(), inner->get());
+  }
+}
+
+/// The fault model as it was when every page was a private copy: the same
+/// draws in the same order, applied to a vector the model owns. The
+/// page-sharing injector must reproduce it attempt for attempt.
+struct CopyingFaultModel {
+  explicit CopyingFaultModel(FaultOptions o) : options(o), rng(o.seed) {}
+
+  /// Fault outcome of one attempt on an inner answer `full`: an error
+  /// code (0 = page served) and the served records.
+  std::pair<int, std::vector<table::Record>> Attempt(
+      const std::vector<table::Record>& full) {
+    ++stats.attempts_seen;
+    uint64_t latency = options.latency_ms;
+    if (options.latency_jitter_ms > 0) {
+      latency += rng.UniformIndex(options.latency_jitter_ms + 1);
+    }
+    stats.simulated_latency_ms += latency;
+    if (rng.Bernoulli(options.rate_limit_rate)) {
+      ++stats.rate_limited;
+      return {2, {}};
+    }
+    if (rng.Bernoulli(options.transient_fault_rate)) {
+      ++stats.transient_faults;
+      return {1, {}};
+    }
+    std::vector<table::Record> page = full;
+    if (page.size() >= 2 && rng.Bernoulli(options.truncate_rate)) {
+      size_t keep =
+          1 + static_cast<size_t>(rng.UniformIndex(page.size() - 1));
+      page.resize(keep);
+      ++stats.truncated_pages;
+    }
+    if (!page.empty() && rng.Bernoulli(options.duplicate_rate)) {
+      page.push_back(page[rng.UniformIndex(page.size())]);
+      ++stats.duplicated_pages;
+    }
+    return {0, std::move(page)};
+  }
+
+  FaultOptions options;
+  Rng rng;
+  FaultStats stats;
+};
+
+TEST(NetFaultInjectionTest, FaultedPagesAreNewPagesWithUnchangedContents) {
+  auto db = SmallDb();
+  CachingInterface cache(&db, 16);
+  FaultOptions opt;
+  opt.transient_fault_rate = 0.1;
+  opt.rate_limit_rate = 0.1;
+  opt.truncate_rate = 0.3;
+  opt.duplicate_rate = 0.3;
+  opt.latency_ms = 5;
+  opt.latency_jitter_ms = 7;
+  opt.seed = 11;
+  FaultInjectingInterface iface(&cache, opt);
+  CopyingFaultModel model(opt);
+  auto inner = cache.SearchPage({"beta"});
+  ASSERT_TRUE(inner.ok());
+  ASSERT_EQ((*inner)->size(), 3u);
+
+  size_t shared = 0;
+  for (int i = 0; i < 300; ++i) {
+    SCOPED_TRACE("attempt " + std::to_string(i));
+    const size_t altered_before =
+        model.stats.truncated_pages + model.stats.duplicated_pages;
+    auto [code, want] = model.Attempt((*inner)->records());
+    const bool altered = model.stats.truncated_pages +
+                             model.stats.duplicated_pages !=
+                         altered_before;
+    auto r = iface.SearchPage({"beta"});
+    ASSERT_EQ(r.ok(), code == 0);
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().retry_after_ms() > 0, code == 2);
+      continue;
+    }
+    const std::vector<table::Record>& got = (*r)->records();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].id, want[j].id);
+      EXPECT_EQ(got[j].fields, want[j].fields);
+    }
+    // Only a truncated or duplicated page is a new object, and building
+    // it leaves the shared original untouched.
+    EXPECT_EQ(r->get() != inner->get(), altered);
+    EXPECT_EQ((*inner)->size(), 3u);
+    if (!altered) ++shared;
+  }
+  const FaultStats& got = iface.stats();
+  EXPECT_EQ(got.attempts_seen, model.stats.attempts_seen);
+  EXPECT_EQ(got.transient_faults, model.stats.transient_faults);
+  EXPECT_EQ(got.rate_limited, model.stats.rate_limited);
+  EXPECT_EQ(got.truncated_pages, model.stats.truncated_pages);
+  EXPECT_EQ(got.duplicated_pages, model.stats.duplicated_pages);
+  EXPECT_EQ(got.simulated_latency_ms, model.stats.simulated_latency_ms);
+  // The seed exercises every branch.
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(got.truncated_pages, 0u);
+  EXPECT_GT(got.duplicated_pages, 0u);
+  EXPECT_GT(got.transient_faults + got.rate_limited, 0u);
 }
 
 TEST(NetFaultInjectionTest, InnerErrorsPassThroughUnchanged) {
