@@ -4,7 +4,8 @@
 ///   * lazy priority queue + delta updates vs eager full re-scan
 ///     (the Sec. 6.3 on-demand updating mechanism),
 ///   * query-pool generation end to end,
-///   * Jaccard similarity join,
+///   * Jaccard similarity joins: the nested-loop reference and enrichment's
+///     prefix-filtered best match,
 ///   * tokenizer throughput,
 ///   * thread sweeps (Arg = num_threads) for the parallel substrate:
 ///     pool generation, crawler init (sample matching), similarity joins.
@@ -12,6 +13,7 @@
 ///     regenerate bench/BENCH_threads.json.
 
 #include <array>
+#include <unordered_set>
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +31,7 @@
 #include "sample/sampler.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -297,6 +300,7 @@ void BM_JaccardJoinThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_JaccardJoinThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// The flat prefix-filter join every whole-table join runs.
 void BM_PrefixFilterJoinThreads(benchmark::State& state) {
   text::TermDictionary dict;
   auto docs = MakeDocs(8000, &dict);
@@ -309,6 +313,50 @@ void BM_PrefixFilterJoinThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixFilterJoinThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_BestMatchPerLeft(benchmark::State& state) {
+  // Enrichment's join at the deepenrich shape: 3000 local records (match
+  // fields only) against ~10k crawled records (every field), tau 0.6.
+  datagen::DblpScenarioConfig cfg;
+  cfg.corpus.corpus_size = 72600;
+  cfg.corpus.seed = 7932;
+  cfg.corpus.db_community_fraction = 0.3;
+  cfg.hidden_size = 30000;
+  cfg.local_size = 3000;
+  cfg.error_rate = 0.2;
+  cfg.seed = 1;
+  auto s = datagen::BuildDblpScenario(cfg);
+  if (!s.ok()) {
+    state.SkipWithError("scenario build failed");
+    return;
+  }
+  text::TermDictionary dict;
+  auto left = s->local.BuildDocuments(dict, s->local_text_fields);
+  // A crawl fetches the local records' hidden copies plus unrelated
+  // neighbours: copies first, then other hidden records up to ~10k.
+  std::unordered_set<table::EntityId> local_entities;
+  for (const auto& rec : s->local.records()) {
+    local_entities.insert(rec.entity_id);
+  }
+  const auto& hidden = s->hidden->OracleTable().records();
+  std::vector<const table::Record*> crawled;
+  for (const auto& rec : hidden) {
+    if (local_entities.count(rec.entity_id) != 0) crawled.push_back(&rec);
+  }
+  for (const auto& rec : hidden) {
+    if (crawled.size() == 10000) break;
+    if (local_entities.count(rec.entity_id) == 0) crawled.push_back(&rec);
+  }
+  std::vector<text::Document> right;
+  for (const table::Record* rec : crawled) {
+    right.push_back(text::Document::FromText(Join(rec->fields, " "), dict));
+  }
+  for (auto _ : state) {
+    auto best = match::BestMatchPerLeft(left, right, 0.6);
+    benchmark::DoNotOptimize(best.data());
+  }
+}
+BENCHMARK(BM_BestMatchPerLeft)->Unit(benchmark::kMillisecond);
 
 void BM_Tokenizer(benchmark::State& state) {
   std::string text_block =

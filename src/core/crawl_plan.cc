@@ -70,6 +70,12 @@ Result<std::unique_ptr<CrawlPlan>> CrawlPlan::Build(
   if (options.policy == SelectionPolicy::kIdeal && oracle == nullptr) {
     return Status::InvalidArgument("kIdeal requires oracle access");
   }
+  if (options.er.mode == match::ErMode::kJaccard &&
+      !match::IsValidJaccardThreshold(options.er.jaccard_threshold)) {
+    return Status::InvalidArgument(
+        "Jaccard ER threshold must be in (0, 1] (got " +
+        std::to_string(options.er.jaccard_threshold) + ")");
+  }
   // One authoritative thread knob: `num_threads` governs the whole build.
   // `pool.num_threads` survives as a checked alias (it used to be silently
   // overwritten) — a conflicting non-default value is a configuration bug.
@@ -222,14 +228,12 @@ void CrawlPlanBuilder::InitSampleState(util::ThreadPool* thread_pool) {
       break;
     }
     case match::ErMode::kJaccard: {
-      // AutoJaccardJoin routes large D×Hs joins through the prefix-filter
-      // algorithm instead of the quadratic nested loop; the pair set (and
-      // its (left, right) order) is identical either way — the dispatch is
-      // pinned by AutoJoinUsesPrefixFilter tests in
-      // tests/match/prefix_filter_test.cc.
-      auto pairs = match::AutoJaccardJoin(p_.local_docs_, sample_docs_,
-                                          p_.options_.er.jaccard_threshold,
-                                          p_.options_.num_threads);
+      // The prefix-filtered join emits exactly the nested-loop pair set in
+      // (left, right) order; Build rejects thresholds outside (0, 1], the
+      // join's precondition.
+      auto pairs = match::PrefixFilterJaccardJoin(
+          p_.local_docs_, sample_docs_, p_.options_.er.jaccard_threshold,
+          p_.options_.num_threads);
       for (const auto& p : pairs) {
         match_pairs.emplace_back(p.left, p.right);
       }

@@ -15,6 +15,12 @@ Result<EnrichmentOutcome> EnrichTable(
   if (spec.import_fields.empty()) {
     return Status::InvalidArgument("no import fields specified");
   }
+  if (spec.er.mode == match::ErMode::kJaccard &&
+      !match::IsValidJaccardThreshold(spec.er.jaccard_threshold)) {
+    return Status::InvalidArgument(
+        "Jaccard ER threshold must be in (0, 1] (got " +
+        std::to_string(spec.er.jaccard_threshold) + ")");
+  }
   for (const auto& [idx, name] : spec.import_fields) {
     if (local.schema().FieldIndex(name).has_value()) {
       return Status::AlreadyExists("local schema already has column " + name);

@@ -28,4 +28,11 @@ struct ErConfig {
   double jaccard_threshold = 0.9;
 };
 
+/// True when `threshold` is usable for kJaccard: 0 < threshold <= 1. At 0
+/// every pair of non-empty records matches, even with no token in common,
+/// which no prefix-filtered join can find (see PrefixFilterJaccardJoin).
+inline bool IsValidJaccardThreshold(double threshold) {
+  return threshold > 0.0 && threshold <= 1.0;
+}
+
 }  // namespace smartcrawl::match

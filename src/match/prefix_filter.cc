@@ -1,56 +1,22 @@
 #include "match/prefix_filter.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 
-#include "index/set_kernels.h"
+#include "index/csr.h"
 #include "util/thread_pool.h"
 
 namespace smartcrawl::match {
 
 namespace {
 
-/// Tokens of every document re-ordered by ascending global frequency
-/// (ties by term id): rare tokens first, so prefixes are selective.
-struct OrderedSets {
-  // ordered[i] = the i-th document's tokens in the global rare-first order.
-  std::vector<std::vector<text::TermId>> ordered;
-};
-
-OrderedSets OrderByFrequency(const std::vector<text::Document>& left,
-                             const std::vector<text::Document>& right,
-                             const std::vector<text::Document>*& lptr,
-                             const std::vector<text::Document>*& rptr) {
-  lptr = &left;
-  rptr = &right;
-  std::unordered_map<text::TermId, uint32_t> freq;
-  for (const auto& d : left) {
-    for (text::TermId t : d.terms()) ++freq[t];
-  }
-  for (const auto& d : right) {
-    for (text::TermId t : d.terms()) ++freq[t];
-  }
-  auto rarer = [&freq](text::TermId a, text::TermId b) {
-    uint32_t fa = freq[a];
-    uint32_t fb = freq[b];
-    if (fa != fb) return fa < fb;
-    return a < b;
-  };
-  OrderedSets out;
-  out.ordered.reserve(left.size() + right.size());
-  for (const auto& d : left) {
-    auto v = d.terms();
-    std::sort(v.begin(), v.end(), rarer);
-    out.ordered.push_back(std::move(v));
-  }
-  for (const auto& d : right) {
-    auto v = d.terms();
-    std::sort(v.begin(), v.end(), rarer);
-    out.ordered.push_back(std::move(v));
-  }
-  return out;
-}
+constexpr uint32_t kUnassigned = UINT32_MAX;
 
 /// Prefix length for a set of size `n` at Jaccard threshold `t`:
 /// n - ceil(t * n) + 1.
@@ -62,60 +28,137 @@ size_t PrefixLength(size_t n, double t) {
   return n - required + 1;
 }
 
+/// Every token of the join as a frequency rank: rank 0 is the rarest term
+/// over both sides, ties broken by term id, so prefixes are selective.
+/// Document d (left documents first, then right) owns the flat slice
+/// ranks[offsets[d], offsets[d + 1]), which starts with its prefix — its
+/// PrefixLength smallest ranks.
+class RankedPrefixes {
+ public:
+  RankedPrefixes(const std::vector<text::Document>& left,
+                 const std::vector<text::Document>& right, double threshold)
+      : threshold_(threshold) {
+    const std::vector<text::Document>* sides[] = {&left, &right};
+    offsets_.reserve(left.size() + right.size() + 1);
+    offsets_.push_back(0);
+    text::TermId max_id = 0;
+    for (const auto* side : sides) {
+      for (const text::Document& d : *side) {
+        offsets_.push_back(offsets_.back() + d.size());
+        if (!d.empty()) max_id = std::max(max_id, d.terms().back());
+      }
+    }
+    const size_t total = offsets_.back();
+
+    // Compact every term id once, in first-seen order, counting document
+    // frequencies on the way; ranks_ holds compact ids until re-ranked.
+    ranks_.resize(total);
+    std::vector<text::TermId> term_of;  // compact id -> term id
+    std::vector<uint32_t> freq;         // compact id -> document frequency
+    auto compact = [&](auto&& slot_of) {
+      size_t k = 0;
+      for (const auto* side : sides) {
+        for (const text::Document& d : *side) {
+          for (text::TermId t : d.terms()) {
+            uint32_t& slot = slot_of(t);
+            if (slot == kUnassigned) {
+              slot = static_cast<uint32_t>(term_of.size());
+              term_of.push_back(t);
+              freq.push_back(0);
+            }
+            ++freq[slot];
+            ranks_[k++] = slot;
+          }
+        }
+      }
+    };
+    if (static_cast<size_t>(max_id) < 2 * total) {
+      // Ids from one dictionary are dense: a direct array stays
+      // O(total tokens).
+      std::vector<uint32_t> slots(static_cast<size_t>(max_id) + 1,
+                                  kUnassigned);
+      compact([&](text::TermId t) -> uint32_t& { return slots[t]; });
+    } else {
+      // Sparse ids (e.g. near UINT32_MAX): one hash probe per token.
+      std::unordered_map<text::TermId, uint32_t> slots;
+      compact([&](text::TermId t) -> uint32_t& {
+        return slots.try_emplace(t, kUnassigned).first->second;
+      });
+    }
+
+    // Rank compact ids rare-first; the comparator reads two flat arrays.
+    num_terms_ = term_of.size();
+    std::vector<uint32_t> by_rank(num_terms_);
+    std::iota(by_rank.begin(), by_rank.end(), 0u);
+    std::sort(by_rank.begin(), by_rank.end(), [&](uint32_t a, uint32_t b) {
+      if (freq[a] != freq[b]) return freq[a] < freq[b];
+      return term_of[a] < term_of[b];
+    });
+    std::vector<uint32_t> rank_of(num_terms_);
+    for (uint32_t r = 0; r < num_terms_; ++r) rank_of[by_rank[r]] = r;
+    for (uint32_t& x : ranks_) x = rank_of[x];
+
+    // Move each document's prefix to the front of its slice.
+    for (size_t d = 0; d + 1 < offsets_.size(); ++d) {
+      auto slice = ranks_.begin() + static_cast<std::ptrdiff_t>(offsets_[d]);
+      const auto n = static_cast<std::ptrdiff_t>(offsets_[d + 1] - offsets_[d]);
+      const auto plen = static_cast<std::ptrdiff_t>(Prefix(d).size());
+      std::partial_sort(slice, slice + plen, slice + n);
+    }
+  }
+
+  /// The prefix ranks of document `d` (left index, or |left| + right index).
+  std::span<const uint32_t> Prefix(size_t d) const {
+    const size_t lo = offsets_[d];
+    return {ranks_.data() + lo,
+            PrefixLength(offsets_[d + 1] - lo, threshold_)};
+  }
+
+  size_t num_terms() const { return num_terms_; }
+
+ private:
+  double threshold_;
+  std::vector<size_t> offsets_;
+  std::vector<uint32_t> ranks_;
+  size_t num_terms_ = 0;
+};
+
 }  // namespace
 
 std::vector<JoinPair> PrefixFilterJaccardJoin(
     const std::vector<text::Document>& left,
     const std::vector<text::Document>& right, double threshold,
     unsigned num_threads) {
-  const std::vector<text::Document>* lp;
-  const std::vector<text::Document>* rp;
-  OrderedSets sets = OrderByFrequency(left, right, lp, rp);
+  assert(threshold > 0.0 && "the prefix filter misses zero-overlap pairs");
+  const RankedPrefixes sets(left, right, threshold);
 
-  // Index: token -> left documents having it in their prefix.
-  std::unordered_map<text::TermId, std::vector<uint32_t>> prefix_index;
-  for (uint32_t i = 0; i < left.size(); ++i) {
-    const auto& toks = sets.ordered[i];
-    size_t plen = PrefixLength(toks.size(), threshold);
-    for (size_t p = 0; p < plen; ++p) {
-      prefix_index[toks[p]].push_back(i);
+  // Index: rank -> left documents holding it in their prefix, ascending.
+  index::CsrBuilder<uint32_t> builder(sets.num_terms());
+  for (size_t i = 0; i < left.size(); ++i) {
+    for (uint32_t r : sets.Prefix(i)) builder.ReserveEntry(r);
+  }
+  builder.StartFill();
+  for (size_t i = 0; i < left.size(); ++i) {
+    for (uint32_t r : sets.Prefix(i)) {
+      builder.Push(r, static_cast<uint32_t>(i));
     }
   }
+  const index::Csr<uint32_t> prefix_index = std::move(builder).Build();
 
   // Probe, partitioned over the right side. Each chunk carries its own
   // last_seen dedup array; a given j is probed by exactly one chunk, so
-  // no pair is emitted twice. The final (left, right) sort makes the
-  // output independent of the partitioning.
+  // no pair is emitted twice.
   auto probe = [&](size_t j_lo, size_t j_hi) {
     std::vector<JoinPair> out;
-    std::vector<uint32_t> last_seen(left.size(), static_cast<uint32_t>(-1));
+    std::vector<uint32_t> last_seen(left.size(), kUnassigned);
     for (size_t j = j_lo; j < j_hi; ++j) {
-      const auto& toks = sets.ordered[left.size() + j];
-      if (toks.empty()) continue;
-      size_t plen = PrefixLength(toks.size(), threshold);
-      for (size_t p = 0; p < plen; ++p) {
-        auto it = prefix_index.find(toks[p]);
-        if (it == prefix_index.end()) continue;
-        for (uint32_t i : it->second) {
+      for (uint32_t r : sets.Prefix(left.size() + j)) {
+        for (uint32_t i : prefix_index[r]) {
           if (last_seen[i] == j) continue;  // candidate already verified
           last_seen[i] = static_cast<uint32_t>(j);
-          const text::Document& a = left[i];
-          const text::Document& b = right[j];
-          if (a.empty() || b.empty()) continue;
-          // Length filter before the exact verification.
-          double la = static_cast<double>(a.size());
-          double lb = static_cast<double>(b.size());
-          if (lb < threshold * la || la < threshold * lb) continue;
-          // Adaptive count-only verification. The kernel returns the exact
-          // integer |a ∩ b|, so the similarity double is bit-identical to
-          // Document::Jaccard whatever kernel ran.
-          size_t inter = index::PairCount(a.terms(), b.terms(), nullptr);
-          size_t uni = a.size() + b.size() - inter;
-          double sim = uni == 0 ? 1.0
-                                : static_cast<double>(inter) /
-                                      static_cast<double>(uni);
-          if (sim >= threshold) {
-            out.push_back(JoinPair{i, static_cast<uint32_t>(j), sim});
+          if (std::optional<double> sim =
+                  JaccardPairSimilarity(left[i], right[j], threshold)) {
+            out.push_back(JoinPair{i, static_cast<uint32_t>(j), *sim});
           }
         }
       }
@@ -145,9 +188,6 @@ std::vector<JoinPair> AutoJaccardJoin(const std::vector<text::Document>& left,
                                       const std::vector<text::Document>& right,
                                       double threshold,
                                       unsigned num_threads) {
-  if (!AutoJoinUsesPrefixFilter(left.size(), right.size())) {
-    return JaccardJoin(left, right, threshold, num_threads);
-  }
   return PrefixFilterJaccardJoin(left, right, threshold, num_threads);
 }
 

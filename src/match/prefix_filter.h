@@ -1,53 +1,45 @@
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "match/similarity_join.h"
 #include "text/document.h"
 
 /// \file prefix_filter.h
-/// Prefix-filtered set-similarity join (PPJoin-style candidate generation).
+/// Prefix-filtered set-similarity join (PPJoin-style candidate generation),
+/// the one implementation behind every whole-table Jaccard join: the
+/// plan's D×Hs sample match and enrichment's `BestMatchPerLeft`.
 ///
-/// The nested-loop join in similarity_join.h is exact and fine for the
-/// per-page joins of Sec. 6.1 (both sides tiny). Enrichment joins the whole
-/// local database against everything crawled — potentially 10^4 x 10^4 —
-/// where all-pairs Jaccard is wasteful. The classic prefix-filter principle
-/// (cited as indexing for scalable record linkage in the paper's related
-/// work [16]): order each set's tokens by ascending global frequency; two
-/// sets with Jaccard >= t must share a token within their first
-/// |r| - ceil(t*|r|) + 1 tokens. Indexing only those prefixes prunes the
-/// candidate space by orders of magnitude; every candidate is then verified
-/// exactly, so the result equals the naive join.
+/// The classic prefix-filter principle (cited as indexing for scalable
+/// record linkage in the paper's related work [16]): order each set's
+/// tokens by ascending global frequency; two sets with Jaccard >= t must
+/// share a token within their first |r| - ceil(t*|r|) + 1 tokens. Indexing
+/// only those prefixes prunes the candidate space by orders of magnitude;
+/// every candidate is then verified exactly with `JaccardPairSimilarity`,
+/// so the result equals the nested-loop `JaccardJoin`.
+///
+/// Storage is flat: term ids are compacted once into dense frequency
+/// ranks, each document's prefix is the smallest ranks of its own slice,
+/// and the rank -> left-document index is CSR. Memory is
+/// O(distinct terms + total tokens), whatever the magnitude of the term ids.
 
 namespace smartcrawl::match {
 
 /// All pairs with Jaccard(left[i], right[j]) >= threshold, sorted by
-/// (left, right). Exact: identical output to JaccardJoin (up to ordering).
-/// `num_threads` (0 = hardware concurrency, 1 = sequential) partitions the
-/// probe side; the final (left, right) sort makes the output independent
-/// of the partitioning.
+/// (left, right) — the same pairs, order and similarity doubles as
+/// JaccardJoin. Precondition: 0 < threshold (IsValidJaccardThreshold in
+/// er_config.h); at 0 every non-empty pair matches, including pairs that
+/// share no token, which no prefix index can find. `num_threads` (0 =
+/// hardware concurrency, 1 = sequential) partitions the probe side; the
+/// final (left, right) sort makes the output independent of the
+/// partitioning.
 std::vector<JoinPair> PrefixFilterJaccardJoin(
     const std::vector<text::Document>& left,
     const std::vector<text::Document>& right, double threshold,
     unsigned num_threads = 1);
 
-/// Candidate-pair count at or below which AutoJaccardJoin keeps the
-/// nested-loop join: the quadratic scan wins below ~10^6 pairs because it
-/// skips the global frequency-ordering pass.
-inline constexpr size_t kAutoJoinNestedLoopMaxPairs = 1'000'000;
-
-/// True when AutoJaccardJoin would take the prefix-filtered path for the
-/// given side sizes. Exposed so callers that route joins through
-/// AutoJaccardJoin (estimator init, enrichment) can unit-test the dispatch.
-[[nodiscard]] inline bool AutoJoinUsesPrefixFilter(size_t left_size,
-                                                   size_t right_size) {
-  return left_size * right_size > kAutoJoinNestedLoopMaxPairs;
-}
-
-/// Chooses between the nested-loop join and the prefix-filtered join based
-/// on input sizes (see AutoJoinUsesPrefixFilter). Output — pair set, pair
-/// order, similarity values — is identical whichever path runs.
+/// Forwards to PrefixFilterJaccardJoin. Kept for callers written against
+/// the former size-based dispatch.
 std::vector<JoinPair> AutoJaccardJoin(const std::vector<text::Document>& left,
                                       const std::vector<text::Document>& right,
                                       double threshold,

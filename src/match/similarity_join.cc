@@ -1,5 +1,6 @@
 #include "match/similarity_join.h"
 
+#include "match/prefix_filter.h"
 #include "util/thread_pool.h"
 
 namespace smartcrawl::match {
@@ -68,7 +69,8 @@ std::vector<int32_t> BestMatchPerLeft(const std::vector<text::Document>& left,
                                       double threshold, unsigned num_threads) {
   std::vector<int32_t> best(left.size(), -1);
   std::vector<double> best_sim(left.size(), 0.0);
-  for (const JoinPair& p : JaccardJoin(left, right, threshold, num_threads)) {
+  for (const JoinPair& p :
+       PrefixFilterJaccardJoin(left, right, threshold, num_threads)) {
     if (best[p.left] == -1 || p.similarity > best_sim[p.left]) {
       best[p.left] = static_cast<int32_t>(p.right);
       best_sim[p.left] = p.similarity;

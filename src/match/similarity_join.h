@@ -8,13 +8,15 @@
 #include "text/document.h"
 
 /// \file similarity_join.h
-/// Set-similarity join between two small document collections, used by
-/// QSEL-EST's coverage maintenance under fuzzy matching (paper Sec. 6.1:
-/// "we perform a similarity join between q*(D) and q*(H)_k").
+/// Jaccard set-similarity join, the entity-resolution predicate of the
+/// paper's Sec. 6.1 ("we perform a similarity join between q*(D) and
+/// q*(H)_k"), and enrichment's best match per local record.
 ///
-/// Sides are tiny (|q(D)| candidates vs <= k returned records) so a
-/// size-filtered nested loop is exact and fast; the length filter
-/// |b| ∈ [τ·|a|, |a|/τ] prunes most non-matches before computing Jaccard.
+/// `JaccardPairSimilarity` is the one pair predicate. `JaccardJoin` is the
+/// size-filtered nested loop over it, kept as the exact reference the
+/// tests compare against; whole-table joins (`BestMatchPerLeft`, the
+/// plan's sample match) run the prefix-filtered join of prefix_filter.h,
+/// which verifies every candidate with the same predicate.
 
 namespace smartcrawl::match {
 
@@ -40,6 +42,8 @@ std::vector<JoinPair> JaccardJoin(const std::vector<text::Document>& left,
 
 /// For each left document, the best-matching right index (or -1) with
 /// similarity >= threshold. Ties broken toward the lower right index.
+/// Runs PrefixFilterJaccardJoin, so it shares its precondition
+/// 0 < threshold.
 std::vector<int32_t> BestMatchPerLeft(const std::vector<text::Document>& left,
                                       const std::vector<text::Document>& right,
                                       double threshold,

@@ -1,5 +1,7 @@
 #include "core/enrich.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace smartcrawl::core {
@@ -55,6 +57,26 @@ TEST(EnrichTest, JaccardJoinToleratesExtraHiddenFields) {
   ASSERT_TRUE(out.ok());
   EXPECT_GE(out->records_enriched, 2u);
   EXPECT_EQ(out->enriched.record(0).fields[1], "4.5");
+}
+
+TEST(EnrichTest, RejectsJaccardThresholdOutsideUnitInterval) {
+  auto local = LocalRestaurants();
+  EnrichmentSpec spec;
+  spec.er.mode = match::ErMode::kJaccard;
+  spec.import_fields = {{1, "rating"}};
+  // At 0 every record would match every crawled record, shared token or
+  // not; the prefix-filtered join cannot produce that, so it is refused.
+  for (double bad : {0.0, -0.5, 1.5, std::nan("")}) {
+    spec.er.jaccard_threshold = bad;
+    auto out = EnrichTable(local, Crawled(), spec);
+    ASSERT_FALSE(out.ok()) << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  spec.er.jaccard_threshold = 1.0;
+  EXPECT_TRUE(EnrichTable(local, Crawled(), spec).ok());
+  // Other ER modes ignore the threshold.
+  spec.er = match::ErConfig{match::ErMode::kEntityOracle, 0.0};
+  EXPECT_TRUE(EnrichTable(local, Crawled(), spec).ok());
 }
 
 TEST(EnrichTest, ExactModeRequiresIdenticalTokens) {

@@ -93,8 +93,8 @@ TEST(ParallelDeterminismTest, JoinsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(par_pf[i].right, seq_pf[i].right);
       EXPECT_EQ(par_pf[i].similarity, seq_pf[i].similarity);
     }
-    // Auto picks one of the two algorithms; either way the pair set after
-    // the canonical sort matches the prefix-filter output.
+    // AutoJaccardJoin forwards to the prefix filter, whose pair set equals
+    // the nested loop's.
     ASSERT_EQ(par_auto.size(), seq_nl.size());
   }
 

@@ -1,7 +1,10 @@
 #include "core/smart_crawler.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "core/crawl_plan.h"
 #include "core/metrics.h"
 #include "datagen/scenario.h"
 #include "hidden/budget.h"
@@ -244,6 +247,28 @@ TEST(SmartCrawlerTest, JaccardErModeCoversDespiteDirtyTitles) {
   auto result = crawler.value()->Crawl(&iface, 80);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(FinalCoverage(s->local, *result), 20u);
+}
+
+TEST(SmartCrawlerTest, PlanRejectsJaccardThresholdOutsideUnitInterval) {
+  auto s = datagen::BuildDblpScenario(SmallConfig(19, /*k=*/50));
+  ASSERT_TRUE(s.ok());
+  auto sample = sample::BernoulliSample(*s->hidden, 0.02, 3);
+  auto build = [&](match::ErConfig er) {
+    SmartCrawlOptions opt = Opts(SelectionPolicy::kEstBiased);
+    opt.er = er;
+    return CrawlPlan::Build(&s->local, std::move(opt), &sample);
+  };
+  // At 0 every local record would match every sample record, shared token
+  // or not; the prefix-filtered sample match cannot produce that.
+  for (double bad : {0.0, -0.5, 1.5, std::nan("")}) {
+    auto plan = build(match::ErConfig{match::ErMode::kJaccard, bad});
+    ASSERT_FALSE(plan.ok()) << bad;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_TRUE(build(match::ErConfig{match::ErMode::kJaccard, 1.0}).ok());
+  EXPECT_TRUE(build(match::ErConfig{match::ErMode::kJaccard, 1e-9}).ok());
+  // Other ER modes ignore the threshold.
+  EXPECT_TRUE(build(match::ErConfig{match::ErMode::kExact, 0.0}).ok());
 }
 
 TEST(SmartCrawlerTest, DeterministicAcrossRuns) {

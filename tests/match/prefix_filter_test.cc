@@ -109,23 +109,9 @@ TEST(AutoJaccardJoinTest, SmallInputsUseNestedLoop) {
   ASSERT_EQ(got.size(), 1u);
 }
 
-/// The dispatch predicate callers rely on (InitSampleState routes its
-/// kJaccard sample join through AutoJaccardJoin): quadratic nested loop at
-/// or below 10^6 candidate pairs, prefix filter strictly above.
-TEST(AutoJaccardJoinTest, DispatchSwitchesAtThePairCountCutoff) {
-  EXPECT_FALSE(AutoJoinUsesPrefixFilter(0, 0));
-  EXPECT_FALSE(AutoJoinUsesPrefixFilter(1000, 1000));      // exactly 10^6
-  EXPECT_FALSE(AutoJoinUsesPrefixFilter(1'000'000, 1));
-  EXPECT_TRUE(AutoJoinUsesPrefixFilter(1001, 1000));       // one row past
-  EXPECT_TRUE(AutoJoinUsesPrefixFilter(1'000'001, 1));
-  EXPECT_TRUE(AutoJoinUsesPrefixFilter(4000, 5000));
-  EXPECT_EQ(kAutoJoinNestedLoopMaxPairs, 1'000'000u);
-}
-
-/// AutoJaccardJoin ≡ JaccardJoin on a corpus that crosses the switch point:
-/// the same left side joined against a right side one row below and one row
-/// above the cutoff yields the naive join's pairs, order, and similarity
-/// values on BOTH dispatch paths.
+/// AutoJaccardJoin ≡ JaccardJoin on the same left side joined against a
+/// right side just below and just above 10^6 candidate pairs: the naive
+/// join's pairs, order, and similarity values.
 TEST(AutoJaccardJoinTest, IdenticalOutputAcrossTheSwitchPoint) {
   smartcrawl::Rng rng(23);
   auto make_docs = [&](size_t n) {
@@ -141,15 +127,13 @@ TEST(AutoJaccardJoinTest, IdenticalOutputAcrossTheSwitchPoint) {
     return docs;
   };
   auto left = make_docs(1100);
-  auto right = make_docs(1000);  // grow by one row to cross the cutoff
-  // 1100 x 909 = 999,900 pairs: nested loop.
+  auto right = make_docs(1000);
+  // 1100 x 909 = 999,900 pairs.
   std::vector<Document> below(right.begin(), right.begin() + 909);
-  ASSERT_FALSE(AutoJoinUsesPrefixFilter(left.size(), below.size()));
   ExpectSameJoin(AutoJaccardJoin(left, below, 0.8),
                  NaiveSorted(left, below, 0.8));
-  // 1100 x 910 = 1,001,000 pairs: prefix filter.
+  // 1100 x 910 = 1,001,000 pairs.
   std::vector<Document> above(right.begin(), right.begin() + 910);
-  ASSERT_TRUE(AutoJoinUsesPrefixFilter(left.size(), above.size()));
   ExpectSameJoin(AutoJaccardJoin(left, above, 0.8),
                  NaiveSorted(left, above, 0.8));
 }
@@ -167,7 +151,7 @@ TEST(AutoJaccardJoinTest, LargeInputsMatchNaiveToo) {
     }
     return docs;
   };
-  // 1500 x 1500 > the 10^6 cutoff: exercises the prefix-filter path.
+  // 1500 x 1500: well past 10^6 candidate pairs.
   auto left = make_docs(1500);
   auto right = make_docs(1500);
   auto got = AutoJaccardJoin(left, right, 0.9);

@@ -21,6 +21,7 @@
 #include "core/smart_crawler.h"
 #include "hidden/budget.h"
 #include "hidden/hidden_database.h"
+#include "match/er_config.h"
 #include "net/transport_stack.h"
 #include "sample/sampler.h"
 #include "util/flags.h"
@@ -68,8 +69,11 @@ struct CliConfig {
 std::string ValidateRanges(const CliConfig& cfg) {
   if (cfg.k < 1) return "--k must be >= 1";
   if (cfg.budget < 0) return "--budget must be >= 0";
+  // At 0 every pair of records would match, even with no shared token.
+  if (!match::IsValidJaccardThreshold(cfg.jaccard)) {
+    return "--jaccard must be in (0, 1]";
+  }
   const std::pair<const char*, double> fractions[] = {
-      {"--jaccard", cfg.jaccard},
       {"--theta", cfg.theta},
       {"--match-fraction", cfg.match_fraction}};
   for (const auto& [name, v] : fractions) {
@@ -404,7 +408,7 @@ int main(int argc, char** argv) {
                "num_threads (0 = all hardware threads; result is identical "
                "either way)");
   flags.AddDouble("jaccard", &cfg.jaccard,
-                  "Jaccard threshold for entity resolution");
+                  "Jaccard threshold for entity resolution, in (0, 1]");
   flags.AddInt("seed", &cfg.seed, "seed for sampling/shuffling");
   flags.AddString("import", &cfg.import_spec,
                   "columns to import: <hidden-field-index>:<new-name>,...");
