@@ -1,15 +1,16 @@
 #include "match/prefix_filter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <span>
-#include <unordered_map>
 
 #include "index/csr.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace smartcrawl::match {
@@ -41,49 +42,41 @@ class RankedPrefixes {
     const std::vector<text::Document>* sides[] = {&left, &right};
     offsets_.reserve(left.size() + right.size() + 1);
     offsets_.push_back(0);
-    text::TermId max_id = 0;
     for (const auto* side : sides) {
       for (const text::Document& d : *side) {
         offsets_.push_back(offsets_.back() + d.size());
-        if (!d.empty()) max_id = std::max(max_id, d.terms().back());
       }
     }
     const size_t total = offsets_.back();
 
     // Compact every term id once, in first-seen order, counting document
     // frequencies on the way; ranks_ holds compact ids until re-ranked.
+    // The lookup is an open-addressing table of compact id + 1 (0 when
+    // empty) over at least twice the token count: O(total tokens) memory,
+    // whatever the ids, and no per-term allocation.
     ranks_.resize(total);
+    const size_t mask = std::bit_ceil(2 * total + 1) - 1;
+    std::vector<uint32_t> slots(mask + 1, 0);
     std::vector<text::TermId> term_of;  // compact id -> term id
     std::vector<uint32_t> freq;         // compact id -> document frequency
-    auto compact = [&](auto&& slot_of) {
-      size_t k = 0;
-      for (const auto* side : sides) {
-        for (const text::Document& d : *side) {
-          for (text::TermId t : d.terms()) {
-            uint32_t& slot = slot_of(t);
-            if (slot == kUnassigned) {
-              slot = static_cast<uint32_t>(term_of.size());
-              term_of.push_back(t);
-              freq.push_back(0);
-            }
-            ++freq[slot];
-            ranks_[k++] = slot;
+    size_t k = 0;
+    for (const auto* side : sides) {
+      for (const text::Document& d : *side) {
+        for (text::TermId t : d.terms()) {
+          size_t h = Mix64(t) & mask;
+          while (slots[h] != 0 && term_of[slots[h] - 1] != t) {
+            h = (h + 1) & mask;
           }
+          if (slots[h] == 0) {
+            term_of.push_back(t);
+            freq.push_back(0);
+            slots[h] = static_cast<uint32_t>(term_of.size());
+          }
+          const uint32_t c = slots[h] - 1;
+          ++freq[c];
+          ranks_[k++] = c;
         }
       }
-    };
-    if (static_cast<size_t>(max_id) < 2 * total) {
-      // Ids from one dictionary are dense: a direct array stays
-      // O(total tokens).
-      std::vector<uint32_t> slots(static_cast<size_t>(max_id) + 1,
-                                  kUnassigned);
-      compact([&](text::TermId t) -> uint32_t& { return slots[t]; });
-    } else {
-      // Sparse ids (e.g. near UINT32_MAX): one hash probe per token.
-      std::unordered_map<text::TermId, uint32_t> slots;
-      compact([&](text::TermId t) -> uint32_t& {
-        return slots.try_emplace(t, kUnassigned).first->second;
-      });
     }
 
     // Rank compact ids rare-first; the comparator reads two flat arrays.

@@ -1,57 +1,22 @@
 #include "net/caching_interface.h"
 
 #include <algorithm>
-#include <array>
-#include <cctype>
-#include <span>
-#include <string_view>
+
+#include "util/string_util.h"
 
 namespace smartcrawl::net {
 
 std::string CachingInterface::NormalizedKey(
     const std::vector<std::string>& keywords) {
-  auto lower = [](char c) {
-    return static_cast<unsigned char>(
-        std::tolower(static_cast<unsigned char>(c)));
-  };
-  // The order and equality of the keywords' lowercase forms, read through
-  // the original bytes (std::string compares chars as unsigned too).
-  auto less = [&](std::string_view a, std::string_view b) {
-    return std::lexicographical_compare(
-        a.begin(), a.end(), b.begin(), b.end(),
-        [&](char x, char y) { return lower(x) < lower(y); });
-  };
-  auto same = [&](std::string_view a, std::string_view b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [&](char x, char y) { return lower(x) == lower(y); });
-  };
-
-  // Sort views, not lowercased copies. Up to kInlineKeywords views live on
-  // the stack, so the key itself is the only allocation (none at all when
-  // it fits the small-string buffer).
-  constexpr size_t kInlineKeywords = 16;
-  std::array<std::string_view, kInlineKeywords> inline_views;
-  std::vector<std::string_view> heap_views;
-  if (keywords.size() > kInlineKeywords) heap_views.resize(keywords.size());
-  std::span<std::string_view> views =
-      heap_views.empty() ? std::span(inline_views).first(keywords.size())
-                         : std::span(heap_views);
-  std::copy(keywords.begin(), keywords.end(), views.begin());
-  std::sort(views.begin(), views.end(), less);
-  views = views.first(static_cast<size_t>(
-      std::unique(views.begin(), views.end(), same) - views.begin()));
-
-  size_t length = views.empty() ? 0 : views.size() - 1;
-  for (std::string_view kw : views) length += kw.size();
-  std::string key;
-  key.reserve(length);
-  for (size_t i = 0; i < views.size(); ++i) {
-    // '\x1f' (ASCII unit separator) cannot appear inside a tokenized
-    // keyword, so the join is collision-free.
-    if (i > 0) key += '\x1f';
-    for (char c : views[i]) key += static_cast<char>(lower(c));
-  }
-  return key;
+  std::vector<std::string> normalized;
+  normalized.reserve(keywords.size());
+  for (const std::string& kw : keywords) normalized.push_back(ToLower(kw));
+  std::sort(normalized.begin(), normalized.end());
+  normalized.erase(std::unique(normalized.begin(), normalized.end()),
+                   normalized.end());
+  // '\x1f' (ASCII unit separator) cannot appear inside a tokenized keyword,
+  // so the join is collision-free.
+  return Join(normalized, "\x1f");
 }
 
 Result<hidden::PageRef> CachingInterface::SearchPage(

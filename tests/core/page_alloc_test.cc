@@ -204,24 +204,5 @@ TEST(PageAllocCounterTest, CountsTheRecordsOfACopiedPage) {
   EXPECT_LT(shared, 4u);
 }
 
-TEST(PageAllocCounterTest, NormalizedKeyAllocatesAtMostTheKey) {
-  // A cache lookup builds its key from sorted views of the keywords: no
-  // allocation when the key fits the small-string buffer, one otherwise.
-  const std::vector<std::string> short_key = {"Noodle", "house", "NOODLE"};
-  const std::vector<std::string> long_key = {"Progressive", "Crawling",
-                                             "Enrichment"};
-  std::string key;
-  EXPECT_EQ(CountAllocations([&] {
-              key = net::CachingInterface::NormalizedKey(short_key);
-            }),
-            0u);
-  EXPECT_EQ(key, "house\x1fnoodle");
-  EXPECT_EQ(CountAllocations([&] {
-              key = net::CachingInterface::NormalizedKey(long_key);
-            }),
-            1u);
-  EXPECT_EQ(key, "crawling\x1f" "enrichment\x1f" "progressive");
-}
-
 }  // namespace
 }  // namespace smartcrawl::core

@@ -1,6 +1,7 @@
-// Differential tests: the prefix-filtered whole-table joins (AutoJaccardJoin,
-// BestMatchPerLeft, and EnrichTable's kJaccard path on top of them) against
-// a nested loop written here from the definition of Jaccard similarity.
+// Differential tests: the prefix-filtered whole-table joins
+// (PrefixFilterJaccardJoin, BestMatchPerLeft, and EnrichTable's kJaccard path
+// on top of them) against a nested loop written here from the definition of
+// Jaccard similarity.
 
 #include <algorithm>
 #include <cstdint>
@@ -100,7 +101,8 @@ void ExpectJoinsMatchNestedLoop(const std::vector<Document>& left,
     for (unsigned threads : kThreadCounts) {
       SCOPED_TRACE("threshold=" + std::to_string(t) +
                    " threads=" + std::to_string(threads));
-      ExpectSamePairs(AutoJaccardJoin(left, right, t, threads), pairs);
+      ExpectSamePairs(PrefixFilterJaccardJoin(left, right, t, threads),
+                      pairs);
       EXPECT_EQ(BestMatchPerLeft(left, right, t, threads), best);
     }
   }
@@ -161,15 +163,16 @@ TEST(JoinDifferentialEdgeTest, PairsOnTheLengthFilterEdge) {
       Document({1, 2, 3, 4, 5, 6, 7, 8, 9, 10})};
   const std::vector<Document> five = {Document({1, 2, 3, 4, 5})};
   const std::vector<Document> four = {Document({1, 2, 3, 4})};
-  ASSERT_EQ(AutoJaccardJoin(ten, five, 0.5).size(), 1u);  // 5/10
-  ASSERT_EQ(AutoJaccardJoin(five, ten, 0.5).size(), 1u);
-  EXPECT_TRUE(AutoJaccardJoin(ten, four, 0.5).empty());  // 4/10
+  ASSERT_EQ(PrefixFilterJaccardJoin(ten, five, 0.5).size(), 1u);  // 5/10
+  ASSERT_EQ(PrefixFilterJaccardJoin(five, ten, 0.5).size(), 1u);
+  EXPECT_TRUE(PrefixFilterJaccardJoin(ten, four, 0.5).empty());  // 4/10
   EXPECT_EQ(BestMatchPerLeft(ten, five, 0.5), std::vector<int32_t>{0});
 
   const std::vector<Document> a = {Document({1, 2, 3, 4, 5})};
   const std::vector<Document> b = {Document({1, 2, 3}), Document({1, 2})};
-  ExpectSamePairs(AutoJaccardJoin(a, b, 0.6), NestedLoopJoin(a, b, 0.6));
-  ASSERT_EQ(AutoJaccardJoin(a, b, 0.6).size(), 1u);  // 3/5 only
+  ExpectSamePairs(PrefixFilterJaccardJoin(a, b, 0.6),
+                  NestedLoopJoin(a, b, 0.6));
+  ASSERT_EQ(PrefixFilterJaccardJoin(a, b, 0.6).size(), 1u);  // 3/5 only
   ExpectJoinsMatchNestedLoop(ten, five);
   ExpectJoinsMatchNestedLoop(a, b);
 }
@@ -207,7 +210,7 @@ TEST(JoinDifferentialEdgeTest, EmptyDocumentsOnEitherSideNeverMatch) {
   const std::vector<Document> right = {Document({1, 2}), Document(),
                                        Document({1})};
   for (double t : kThresholds) {
-    for (const JoinPair& p : AutoJaccardJoin(left, right, t)) {
+    for (const JoinPair& p : PrefixFilterJaccardJoin(left, right, t)) {
       EXPECT_EQ(p.left, 1u);
       EXPECT_NE(p.right, 1u);
     }
@@ -276,8 +279,8 @@ TEST(JoinDifferentialEnrichTest, GeneratedDblpMatchesNestedLoopEnrichment) {
   }
   const auto best =
       NestedLoopBest(local_docs, crawled_docs, spec.er.jaccard_threshold);
-  const size_t expect_enriched = static_cast<size_t>(
-      std::count_if(best.begin(), best.end(), [](int32_t b) { return b >= 0; }));
+  const size_t expect_enriched = static_cast<size_t>(std::count_if(
+      best.begin(), best.end(), [](int32_t b) { return b >= 0; }));
   ASSERT_GT(expect_enriched, 0u);
 
   for (unsigned threads : kThreadCounts) {

@@ -1,6 +1,5 @@
 #include "net/caching_interface.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -9,8 +8,6 @@
 #include "hidden/budget.h"
 #include "hidden/daily_quota.h"
 #include "hidden/hidden_database.h"
-#include "util/random.h"
-#include "util/string_util.h"
 
 namespace smartcrawl::net {
 namespace {
@@ -71,34 +68,6 @@ TEST(NetCachingTest, HitsShareOnePageAndSearchCopiesItOut) {
     EXPECT_NE(&(*copy)[i], &shared[i]);
   }
   EXPECT_EQ(cache.stats().hits, 2u);
-}
-
-/// The key as lowercased copies, sorted, de-duplicated and joined.
-std::string ReferenceKey(const std::vector<std::string>& keywords) {
-  std::vector<std::string> lowered;
-  for (const std::string& kw : keywords) lowered.push_back(ToLower(kw));
-  std::sort(lowered.begin(), lowered.end());
-  lowered.erase(std::unique(lowered.begin(), lowered.end()), lowered.end());
-  return Join(lowered, "\x1f");
-}
-
-TEST(NetCachingTest, KeyEqualsLowercaseSortUniqueJoin) {
-  // Seeded keyword lists over a small alphabet with mixed case, shared
-  // prefixes, empty keywords and bytes >= 0x80, past the inline view count.
-  const std::string alphabet = "aAbBzZ09_\xe9\xc3";
-  Rng rng(12);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<std::string> keywords(rng.UniformIndex(24));
-    for (std::string& kw : keywords) {
-      const size_t len = rng.UniformIndex(5);
-      for (size_t c = 0; c < len; ++c) {
-        kw += alphabet[rng.UniformIndex(alphabet.size())];
-      }
-    }
-    ASSERT_EQ(CachingInterface::NormalizedKey(keywords),
-              ReferenceKey(keywords))
-        << "trial " << trial;
-  }
 }
 
 TEST(NetCachingTest, KeyNormalizesOrderCaseAndDuplicates) {
