@@ -7,6 +7,7 @@
 #include "index/inverted_index.h"
 #include "match/prefix_filter.h"
 #include "match/similarity_join.h"
+#include "text/token_set.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
@@ -340,26 +341,12 @@ void CrawlPlanBuilder::InitIdealState(util::ThreadPool* thread_pool) {
   p_.cover_forward_ = index::ForwardIndex(std::move(cf).Build());
 }
 
-namespace {
-
-/// A page record's text: its fields joined by single spaces.
-std::string RecordText(const table::Record& rec) {
-  std::string textv;
-  for (size_t i = 0; i < rec.fields.size(); ++i) {
-    if (i > 0) textv += ' ';
-    textv += rec.fields[i];
-  }
-  return textv;
-}
-
-}  // namespace
-
 std::vector<text::Document> CrawlPlan::BuildPageDocuments(
     const std::vector<table::Record>& page, text::TermDictionary* dict) {
   std::vector<text::Document> docs;
   docs.reserve(page.size());
   for (const auto& rec : page) {
-    docs.push_back(text::Document::FromText(RecordText(rec), *dict));
+    docs.push_back(text::Document::FromFields(rec.fields, *dict));
   }
   return docs;
 }
@@ -369,7 +356,8 @@ std::vector<text::Document> CrawlPlan::FrozenPageDocuments(
   std::vector<text::Document> docs;
   docs.reserve(page.size());
   for (const auto& rec : page) {
-    docs.push_back(text::Document::FromTextFrozen(RecordText(rec), dict_));
+    docs.push_back(
+        text::Document::FromTokensFrozen(text::TokenSet(rec.fields), dict_));
   }
   return docs;
 }

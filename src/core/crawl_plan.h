@@ -223,19 +223,21 @@ class CrawlPlan {
     return options_.er.mode != match::ErMode::kEntityOracle;
   }
 
-  /// Interns one document per page record (field concatenation order) into
-  /// `dict`. Matches exactly like FrozenPageDocuments, which sessions use;
-  /// this dictionary-mutating form remains for callers that keep their
-  /// own growing dictionary.
+  /// Interns one document per page record (its fields tokenized in order,
+  /// text::Document::FromFields) into `dict`. Matches exactly like
+  /// FrozenPageDocuments, which sessions use; this dictionary-mutating form
+  /// remains for callers that keep their own growing dictionary.
   static std::vector<text::Document> BuildPageDocuments(
       const std::vector<table::Record>& page, text::TermDictionary* dict);
 
-  /// One document per page record (field concatenation order) over the
-  /// frozen dict(): every distinct unknown token of a record counts with an
-  /// overflow id >= dict().size() (text::Document::FromTextFrozen). Unknown
-  /// terms never occur in local_docs(), so document sizes, Jaccard scores
-  /// and exact-match equality against local records are the same as with
-  /// BuildPageDocuments — but the result is a pure function of (plan, page).
+  /// One document per page record over the frozen dict(), each built from
+  /// the record's text::TokenSet by text::Document::FromTokensFrozen:
+  /// every distinct unknown token counts with an overflow id >=
+  /// dict().size(). Unknown terms never occur in local_docs(), so document
+  /// sizes, Jaccard scores and exact-match equality against local records
+  /// are the same as with BuildPageDocuments — but the result is a pure
+  /// function of (plan, page). core::PageMatchMemo builds the same
+  /// documents from token sets it caches per record.
   std::vector<text::Document> FrozenPageDocuments(
       const std::vector<table::Record>& page) const;
 

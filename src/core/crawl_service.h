@@ -32,11 +32,14 @@
 ///    actually accepted) such hits are metered-free.
 ///
 /// A third kind of sharing rides along: every session of a run matches its
-/// pages through one core::PageMatchMemo, so a page that many tenants of
-/// the same plan fetch is tokenized and matched once per run, and each
-/// session only filters the memoized matches through its own removed
-/// bitmap (results are identical to memo-less sessions; see
-/// page_match_memo.h). The memo is cleared when the run ends.
+/// pages through one core::PageMatchMemo, at two levels. A page that many
+/// tenants of the same plan fetch is matched once per (plan, query, page)
+/// per run, and each session only filters the memoized matches through its
+/// own removed bitmap. A page miss tokenizes only the records the run has
+/// not met before: each hidden record's tokens are cached once per run and
+/// reused by every page, query and plan that returns it (results are
+/// identical to memo-less sessions; see page_match_memo.h). The memo is
+/// cleared when the run ends.
 ///
 /// Each round has an issue half (Phase A: every live session issues at
 /// most one accepted query, in session-index order, all transport and
@@ -140,8 +143,9 @@ class CrawlService {
   /// keep moving under concurrent runs.
   std::optional<net::CacheStats> shared_cache_stats() const;
 
-  /// Cumulative page-match memo counters over all runs (entries count the
-  /// in-flight run only: the memo is cleared when a run ends).
+  /// Cumulative page-match memo counters over all runs: page hits and
+  /// misses, and record-token hits and misses (entries count the in-flight
+  /// run only: the memo is cleared when a run ends).
   PageMatchMemo::Stats page_memo_stats() const { return page_memo_.stats(); }
 
  private:

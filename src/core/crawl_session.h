@@ -27,9 +27,10 @@
 /// (CrawlPlan::FrozenPageDocuments), so a session owns no dictionary and
 /// a page's match is a pure function of (plan, query, page). A service
 /// passes every session one core::PageMatchMemo, so each distinct page is
-/// tokenized and matched once per run and each session only filters the
-/// shared result through its own removed bitmap; a standalone session
-/// matches every page itself. Both paths produce identical results.
+/// matched once per run, each distinct record tokenized once per run, and
+/// each session only filters the shared result through its own removed
+/// bitmap; a standalone session matches every page itself. Both paths
+/// produce identical results.
 ///
 /// Two ways to drive a session:
 ///  * Crawl(iface, budget) — the classic blocking loop, resumable across

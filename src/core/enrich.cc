@@ -51,12 +51,7 @@ Result<EnrichmentOutcome> EnrichTable(
       std::vector<text::Document> crawled_docs;
       crawled_docs.reserve(crawled.size());
       for (const auto& rec : crawled) {
-        std::string textv;
-        for (size_t i = 0; i < rec.fields.size(); ++i) {
-          if (i > 0) textv += ' ';
-          textv += rec.fields[i];
-        }
-        crawled_docs.push_back(text::Document::FromText(textv, dict));
+        crawled_docs.push_back(text::Document::FromFields(rec.fields, dict));
       }
       if (spec.er.mode == match::ErMode::kExact) {
         std::unordered_map<size_t, int32_t> by_hash;

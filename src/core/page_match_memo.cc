@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 #include "util/hash.h"
 
@@ -18,6 +19,15 @@ bool SameIds(
                     });
 }
 
+/// Hash of a record's fields, each one length-delimited by its own hash.
+uint64_t ContentHash(const table::Record& rec) {
+  size_t h = rec.fields.size();
+  for (const std::string& field : rec.fields) {
+    HashCombine(h, HashBytes64(field.data(), field.size()));
+  }
+  return h;
+}
+
 }  // namespace
 
 size_t PageMatchMemo::KeyHash::operator()(const Key& k) const {
@@ -25,6 +35,57 @@ size_t PageMatchMemo::KeyHash::operator()(const Key& k) const {
   HashCombine(h, k.query);
   HashCombine(h, k.fingerprint);
   return h;
+}
+
+size_t PageMatchMemo::RecordKeyHash::operator()(const RecordKey& k) const {
+  size_t h = k.content;
+  HashCombine(h, k.id);
+  return h;
+}
+
+std::vector<text::Document> PageMatchMemo::PageDocuments(
+    const CrawlPlan& plan, const std::vector<table::Record>& records) {
+  const size_t n = records.size();
+  std::vector<RecordKey> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = RecordKey{records[i].id, ContentHash(records[i])};
+  }
+  std::vector<const text::TokenSet*> tokens(n, nullptr);
+  std::vector<size_t> missing;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < n; ++i) {
+      auto it = record_tokens_.find(keys[i]);
+      if (it != record_tokens_.end()) {
+        tokens[i] = &it->second;  // immutable until Clear()
+      } else {
+        missing.push_back(i);
+      }
+    }
+    record_token_hits_ += n - missing.size();
+  }
+  if (!missing.empty()) {
+    std::vector<text::TokenSet> fresh;
+    fresh.reserve(missing.size());
+    for (size_t i : missing) {
+      fresh.emplace_back(records[i].fields);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t m = 0; m < missing.size(); ++m) {
+      // First writer wins: a racing call (or a duplicate of this record
+      // earlier on the page) may have cached the same pure value.
+      auto [it, inserted] =
+          record_tokens_.try_emplace(keys[missing[m]], std::move(fresh[m]));
+      ++(inserted ? record_token_misses_ : record_token_hits_);
+      tokens[missing[m]] = &it->second;
+    }
+  }
+  std::vector<text::Document> docs;
+  docs.reserve(n);
+  for (const text::TokenSet* t : tokens) {
+    docs.push_back(text::Document::FromTokensFrozen(*t, plan.dict()));
+  }
+  return docs;
 }
 
 std::vector<table::RecordId> PageMatchMemo::Match(
@@ -51,7 +112,8 @@ std::vector<table::RecordId> PageMatchMemo::Match(
   }
   std::vector<table::RecordId> computed;
   if (all == nullptr) {
-    computed = plan.MatchPage(q, records, /*removed=*/{});
+    const std::vector<text::Document> docs = PageDocuments(plan, records);
+    computed = plan.MatchPreparedPage(q, records, &docs, /*removed=*/{});
     Entry entry;
     entry.ids.reserve(records.size());
     for (const table::Record& rec : records) {
@@ -76,12 +138,14 @@ std::vector<table::RecordId> PageMatchMemo::Match(
 
 PageMatchMemo::Stats PageMatchMemo::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Stats{hits_, misses_, entries_.size()};
+  return Stats{hits_, misses_, entries_.size(), record_token_hits_,
+               record_token_misses_};
 }
 
 void PageMatchMemo::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
+  record_tokens_.clear();
 }
 
 }  // namespace smartcrawl::core

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 /// \file dictionary.h
@@ -25,43 +23,50 @@ class TermDictionary {
  public:
   TermDictionary() = default;
 
+  /// The 64-bit hash every probe uses. Callers that probe the same token
+  /// many times (text::TokenSet) compute it once and pass it to the
+  /// two-argument Lookup.
+  static uint64_t Hash(std::string_view term);
+
   /// Returns the id for `term`, creating a new one if unseen.
   TermId Intern(std::string_view term);
 
   /// Returns the id for `term` if present.
-  std::optional<TermId> Lookup(std::string_view term) const;
+  std::optional<TermId> Lookup(std::string_view term) const {
+    return Lookup(term, Hash(term));
+  }
+
+  /// Lookup with `hash` == Hash(term) already computed.
+  std::optional<TermId> Lookup(std::string_view term, uint64_t hash) const;
 
   /// The string for `id`. Requires id < size().
   const std::string& TermOf(TermId id) const { return terms_[id]; }
 
   size_t size() const { return terms_.size(); }
 
-  /// Pre-sizes the map and the term vector for `n` terms. Used by bulk
+  /// Pre-sizes the table and the term vector for `n` terms. Used by bulk
   /// loaders (e.g. the snapshot reader) that know the final size up front.
-  void Reserve(size_t n) {
-    ids_.reserve(n);
-    terms_.reserve(n);
-  }
+  void Reserve(size_t n);
 
   /// Interns every string in `tokens`.
   std::vector<TermId> InternAll(const std::vector<std::string>& tokens);
 
-  /// Looks up every token; tokens not in the dictionary map to
-  /// kInvalidTermId. (Used when matching external text against a frozen
-  /// dictionary.)
-  std::vector<TermId> LookupAll(const std::vector<std::string>& tokens) const;
-
  private:
-  /// Transparent hash: lets Lookup/Intern probe with a string_view
-  /// without materializing a std::string per token.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
+  /// One open-addressing slot: the high half of the term's hash, to skip
+  /// most non-matching slots without touching terms_, and the term's id
+  /// (kInvalidTermId when empty). The low bits of the hash pick the home
+  /// slot. Ids, not pointers, so a copied dictionary is independent.
+  struct Slot {
+    uint32_t tag = 0;
+    TermId id = kInvalidTermId;
   };
 
-  std::unordered_map<std::string, TermId, StringHash, std::equal_to<>> ids_;
+  /// The slot holding `term`, or the empty slot where it would go.
+  size_t FindSlot(std::string_view term, uint64_t hash) const;
+  /// Rebuilds the table with at least `capacity` slots (a power of two).
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;  // size is 0 or a power of two, at most half full
   std::vector<std::string> terms_;
 };
 

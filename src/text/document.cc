@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <string>
-#include <string_view>
 
 namespace smartcrawl::text {
 
@@ -14,32 +12,49 @@ Document::Document(std::vector<TermId> terms) : terms_(std::move(terms)) {
 
 Document Document::FromText(std::string_view textv, TermDictionary& dict,
                             const TokenizerOptions& options) {
-  return Document(dict.InternAll(Tokenize(textv, options)));
+  std::vector<TermId> ids;
+  ForEachToken(textv, options, [&](std::string_view token) {
+    ids.push_back(dict.Intern(token));
+  });
+  return Document(std::move(ids));
+}
+
+Document Document::FromFields(std::span<const std::string> fields,
+                              TermDictionary& dict,
+                              const TokenizerOptions& options) {
+  std::vector<TermId> ids;
+  ForEachFieldToken(fields, options, [&](std::string_view token) {
+    ids.push_back(dict.Intern(token));
+  });
+  return Document(std::move(ids));
+}
+
+Document Document::FromTokensFrozen(const TokenSet& tokens,
+                                    const TermDictionary& dict) {
+  std::vector<TermId> ids;
+  ids.reserve(tokens.size());
+  size_t num_unknown = 0;
+  for (const TokenSet::Token& token : tokens.tokens()) {
+    if (std::optional<TermId> id = dict.Lookup(token.text, token.hash)) {
+      ids.push_back(*id);
+    } else {
+      ++num_unknown;
+    }
+  }
+  // Distinct tokens have distinct ids. Only the NUMBER of unseen tokens
+  // matters (they match nothing), so they take the ids dict.size(),
+  // dict.size() + 1, ..., all above every known id.
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < num_unknown; ++i) {
+    ids.push_back(static_cast<TermId>(dict.size() + i));
+  }
+  return FromSortedUnique(std::move(ids));
 }
 
 Document Document::FromTextFrozen(std::string_view textv,
                                   const TermDictionary& dict,
                                   const TokenizerOptions& options) {
-  std::vector<std::string> tokens = Tokenize(textv, options);
-  std::vector<TermId> ids;
-  ids.reserve(tokens.size());
-  std::vector<std::string_view> unknown;
-  for (const std::string& token : tokens) {
-    if (std::optional<TermId> id = dict.Lookup(token)) {
-      ids.push_back(*id);
-    } else {
-      unknown.push_back(token);
-    }
-  }
-  // Only the NUMBER of distinct unseen tokens matters (they match nothing),
-  // so they take the ids dict.size(), dict.size() + 1, ... in any order.
-  std::sort(unknown.begin(), unknown.end());
-  const size_t num_unknown = static_cast<size_t>(
-      std::unique(unknown.begin(), unknown.end()) - unknown.begin());
-  for (size_t i = 0; i < num_unknown; ++i) {
-    ids.push_back(static_cast<TermId>(dict.size() + i));
-  }
-  return Document(std::move(ids));
+  return FromTokensFrozen(TokenSet(textv, options), dict);
 }
 
 bool Document::Contains(TermId term) const {

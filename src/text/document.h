@@ -1,10 +1,13 @@
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "text/dictionary.h"
+#include "text/token_set.h"
 #include "text/tokenizer.h"
 
 /// \file document.h
@@ -27,12 +30,24 @@ class Document {
   static Document FromText(std::string_view textv, TermDictionary& dict,
                            const TokenizerOptions& options = {});
 
-  /// Builds a document from raw text WITHOUT extending the dictionary.
-  /// Each distinct unseen token gets an overflow id >= dict.size(), so it
-  /// still counts toward size() — and thus every Jaccard denominator —
-  /// exactly as if it had been interned, yet it can never equal a term of
-  /// a document built over `dict`. Overflow ids are local to the returned
-  /// document: the same unseen token may get different ids in two calls.
+  /// FromText over a record's fields, tokenized one after another
+  /// (ForEachFieldToken): the same document as FromText over the fields
+  /// joined by single spaces, interning terms in the same order.
+  static Document FromFields(std::span<const std::string> fields,
+                             TermDictionary& dict,
+                             const TokenizerOptions& options = {});
+
+  /// Builds a document from a record's distinct tokens WITHOUT extending
+  /// the dictionary: one hashed probe per token. Each unseen token gets an
+  /// overflow id >= dict.size(), so it still counts toward size() — and
+  /// thus every Jaccard denominator — exactly as if it had been interned,
+  /// yet it can never equal a term of a document built over `dict`.
+  /// Overflow ids are local to the returned document: the same unseen
+  /// token may get different ids in two calls.
+  static Document FromTokensFrozen(const TokenSet& tokens,
+                                   const TermDictionary& dict);
+
+  /// FromTokensFrozen over the token set of raw text.
   static Document FromTextFrozen(std::string_view textv,
                                  const TermDictionary& dict,
                                  const TokenizerOptions& options = {});

@@ -23,7 +23,10 @@ const std::unordered_set<std::string_view>& DefaultStopwords() {
 }
 
 bool IsStopword(std::string_view word) {
-  return DefaultStopwords().count(word) > 0;
+  // No default stop word is longer than "between", so longer tokens skip
+  // the hash.
+  constexpr size_t kLongestStopword = 7;
+  return word.size() <= kLongestStopword && DefaultStopwords().count(word) > 0;
 }
 
 }  // namespace smartcrawl::text

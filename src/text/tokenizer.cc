@@ -1,37 +1,12 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
-#include "text/stopwords.h"
-#include "util/string_util.h"
-
 namespace smartcrawl::text {
 
 std::vector<std::string> Tokenize(std::string_view textv,
                                   const TokenizerOptions& options) {
   std::vector<std::string> tokens;
-  std::string cur;
-  auto is_token_char = [&](unsigned char c) {
-    if (std::isalpha(c)) return true;
-    if (options.keep_digits && std::isdigit(c)) return true;
-    return false;
-  };
-  auto flush = [&] {
-    if (cur.empty()) return;
-    std::string tok = options.lowercase ? ToLower(cur) : cur;
-    cur.clear();
-    if (tok.size() < options.min_token_length) return;
-    if (options.remove_stopwords && IsStopword(tok)) return;
-    tokens.push_back(std::move(tok));
-  };
-  for (char ch : textv) {
-    if (is_token_char(static_cast<unsigned char>(ch))) {
-      cur += ch;
-    } else {
-      flush();
-    }
-  }
-  flush();
+  ForEachToken(textv, options,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 

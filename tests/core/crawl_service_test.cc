@@ -2,6 +2,7 @@
 #include <iterator>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -398,6 +399,41 @@ TEST(CrawlServiceTest, ReusedServiceScratchIsStatelessAcrossRuns) {
   EXPECT_EQ((*second)[0].quota_used_today, 0u);
 }
 
+/// Forwards every query to `origin` and remembers each distinct
+/// (record id, fields) pair the origin returned. The service issues all
+/// transport calls on the Drive thread, so no lock is needed.
+class RecordingOrigin : public hidden::KeywordSearchInterface {
+ public:
+  explicit RecordingOrigin(hidden::KeywordSearchInterface* origin)
+      : origin_(origin) {}
+
+  Result<hidden::PageRef> SearchPage(
+      const std::vector<std::string>& keywords) override {
+    auto page = origin_->SearchPage(keywords);
+    if (page.ok()) {
+      for (const table::Record& rec : (*page)->records()) {
+        records_.emplace(rec.id, rec.fields);
+      }
+    }
+    return page;
+  }
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
+  size_t top_k() const override { return origin_->top_k(); }
+  size_t num_queries_issued() const override {
+    return origin_->num_queries_issued();
+  }
+
+  /// Distinct (record id, content) pairs returned so far.
+  size_t distinct_records() const { return records_.size(); }
+
+ private:
+  hidden::KeywordSearchInterface* origin_;
+  std::set<std::pair<table::RecordId, std::vector<std::string>>> records_;
+};
+
 /// CrawlService's round loop over memo-less sessions, on one thread: each
 /// round, every live session issues in index order behind one shared
 /// cache (configured like the service's), then every fetched page is
@@ -511,7 +547,8 @@ TEST(CrawlServiceTest, PageMemoFleetWithFaultsMatchesMemolessSessions) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     CrawlServiceOptions sopt;
     sopt.num_threads = threads;
-    CrawlService service(s->hidden.get(), sopt);
+    RecordingOrigin origin(s->hidden.get());
+    CrawlService service(&origin, sopt);
     FleetRun got;
     got.outcomes.resize(specs.size());
     Status st = service.Drive(specs, [&](size_t i, SessionOutcome out) {
@@ -527,6 +564,12 @@ TEST(CrawlServiceTest, PageMemoFleetWithFaultsMatchesMemolessSessions) {
     EXPECT_GT(memo.hits, 0u);
     EXPECT_GT(memo.misses, 0u);
     EXPECT_EQ(memo.entries, 0u);
+    // Page misses reused tokens across page variants and queries, and no
+    // record was tokenized twice: truncation and duplication only drop and
+    // repeat records the origin returned.
+    EXPECT_GT(memo.record_token_hits, 0u);
+    EXPECT_GT(memo.record_token_misses, 0u);
+    EXPECT_LE(memo.record_token_misses, origin.distinct_records());
 
     EXPECT_EQ(got.finish_order, ref.finish_order);
     EXPECT_EQ(got.cache.hits, ref.cache.hits);

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,9 @@
 ///  2. PageMatchMemo::Match equals CrawlPlan::MatchPreparedPage under any
 ///     removed bitmap, and keys its entries by plan, query and the page's
 ///     content fingerprint (hidden::Page::fingerprint()).
+///  3. Documents the memo builds from its per-record token cache equal
+///     FrozenPageDocuments, across plans, page variants and a record id
+///     reused with new content.
 namespace smartcrawl::core {
 namespace {
 
@@ -111,6 +115,53 @@ std::vector<std::pair<QueryIdx, hidden::PageRef>> TestPages(
     }
   }
   return out;
+}
+
+/// The test pages, each real page followed by a truncated and a duplicated
+/// variant (new pages holding the same records), plus a page with an
+/// all-stopword record, an empty and a field-less record and repeated
+/// unknown tokens, and one reusing record id 900001 with content no edge
+/// page gives it.
+std::vector<std::pair<QueryIdx, hidden::PageRef>> TokenCachePages(
+    const datagen::Scenario& s, const CrawlPlan& plan) {
+  std::vector<std::pair<QueryIdx, hidden::PageRef>> out;
+  for (auto& [q, page] : TestPages(s, plan)) {
+    const std::vector<table::Record>& records = page->records();
+    out.emplace_back(q, page);
+    if (records.size() < 2) continue;
+    std::vector<table::Record> duplicated = records;
+    duplicated.push_back(records.back());
+    duplicated.push_back(records.front());
+    out.emplace_back(q, hidden::MakePage(std::vector<table::Record>(
+                            records.begin(), records.end() - 1)));
+    out.emplace_back(q, hidden::MakePage(std::move(duplicated)));
+  }
+  out.emplace_back(
+      0, hidden::MakePage(
+             {MakeRecord(900020, table::kUnknownEntity, {"The", "of AND the"}),
+              MakeRecord(900021, table::kUnknownEntity, {"", ""}),
+              MakeRecord(900022, table::kUnknownEntity, {}),
+              MakeRecord(900023, table::kUnknownEntity,
+                         {"zqxr ZQXR zqxr", "zqxr zqxs", "zqxs"})}));
+  out.emplace_back(0, hidden::MakePage({MakeRecord(
+                          900001, table::kUnknownEntity, {"zqxt", "zqxt"})}));
+  return out;
+}
+
+using RecordContents =
+    std::set<std::pair<table::RecordId, std::vector<std::string>>>;
+
+/// The distinct (record id, fields) pairs over `pages`: the token sets a
+/// memo caches for them.
+RecordContents DistinctRecords(
+    const std::vector<std::pair<QueryIdx, hidden::PageRef>>& pages) {
+  RecordContents seen;
+  for (const auto& [q, page] : pages) {
+    for (const table::Record& rec : page->records()) {
+      seen.emplace(rec.id, rec.fields);
+    }
+  }
+  return seen;
 }
 
 /// Removed bitmaps to match under: none (all of D), all active, and two
@@ -211,14 +262,28 @@ TEST(PageMatchTest, MemoFilteredThroughRemovedEqualsDirectMatch) {
       // Oracle matching reads no text; the memo passes it straight through.
       EXPECT_EQ(stats.entries, 0u);
       EXPECT_EQ(stats.hits + stats.misses, 0u);
+      EXPECT_EQ(stats.record_token_hits + stats.record_token_misses, 0u);
     } else {
       EXPECT_GT(stats.entries, 0u);
       EXPECT_LE(stats.entries, pages.size());
       EXPECT_EQ(stats.misses, stats.entries);
       EXPECT_GT(stats.hits, stats.misses);
+      EXPECT_EQ(stats.record_token_misses, DistinctRecords(pages).size());
     }
     memo.Clear();
     EXPECT_EQ(memo.stats().entries, 0u);
+    if (er != match::ErMode::kEntityOracle) {
+      // Clear dropped the token sets too: a page is tokenized anew.
+      auto it = std::find_if(pages.begin(), pages.end(), [](const auto& p) {
+        return !p.second->empty();
+      });
+      ASSERT_NE(it, pages.end());
+      const auto& [q, page] = *it;
+      EXPECT_EQ(memo.Match(*plan, q, *page, {}),
+                plan->MatchPage(q, page->records(), {}));
+      EXPECT_EQ(memo.stats().record_token_misses,
+                stats.record_token_misses + DistinctRecords({*it}).size());
+    }
   }
 }
 
@@ -287,14 +352,80 @@ TEST(PageMatchTest, SamePageUnderTwoPlansNeverSharesAnEntry) {
   EXPECT_EQ(memo.stats().misses, 2 * pages);
 }
 
+TEST(PageMatchTest, CachedTokenDocumentsEqualFrozenPageDocuments) {
+  // One memo serves all three plans, so every plan after the first builds
+  // its documents purely from token sets another plan cached, and the
+  // second pass reads every record from the cache.
+  auto s = BuildScenario();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  PageMatchMemo memo;
+  size_t records_seen = 0;
+  RecordContents distinct;
+  for (match::ErMode er : kAllErModes) {
+    SCOPED_TRACE("er=" + std::to_string(static_cast<int>(er)));
+    auto plan = BuildPlan(*s, er, 0.6);
+    ASSERT_NE(plan, nullptr);
+    const size_t dict_size = plan->dict().size();
+    const auto pages = TokenCachePages(*s, *plan);
+    distinct.merge(DistinctRecords(pages));
+    Rng rng(31);
+    size_t matched_pairs = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& [q, page] : pages) {
+        const std::vector<table::Record>& records = page->records();
+        records_seen += records.size();
+        const std::vector<text::Document> cached =
+            memo.PageDocuments(*plan, records);
+        const std::vector<text::Document> frozen =
+            plan->FrozenPageDocuments(records);
+        ASSERT_EQ(cached.size(), frozen.size());
+        for (size_t i = 0; i < cached.size(); ++i) {
+          SCOPED_TRACE("record " + std::to_string(records[i].id));
+          EXPECT_EQ(cached[i].size(), frozen[i].size());
+          std::vector<text::TermId> known;
+          std::vector<text::TermId> frozen_known;
+          for (text::TermId t : cached[i].terms()) {
+            if (t < dict_size) known.push_back(t);
+          }
+          for (text::TermId t : frozen[i].terms()) {
+            if (t < dict_size) frozen_known.push_back(t);
+          }
+          EXPECT_EQ(known, frozen_known);
+          EXPECT_EQ(cached[i].size() - known.size(),
+                    frozen[i].size() - frozen_known.size());
+        }
+        for (const auto& removed :
+             RemovedBitmaps(plan->num_records(), rng)) {
+          const std::vector<table::RecordId> want =
+              plan->MatchPreparedPage(q, records, &frozen, removed);
+          EXPECT_EQ(plan->MatchPreparedPage(q, records, &cached, removed),
+                    want);
+          matched_pairs += want.size();
+        }
+      }
+    }
+    EXPECT_GT(matched_pairs, 0u);  // the comparison is not vacuous
+  }
+  // Each distinct (id, content) pair was tokenized exactly once, whichever
+  // plan met it first; every other lookup was a hit.
+  const PageMatchMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.record_token_misses, distinct.size());
+  EXPECT_EQ(stats.record_token_hits + stats.record_token_misses,
+            records_seen);
+  EXPECT_GT(stats.record_token_hits, records_seen / 2);
+}
+
 TEST(PageMatchTest, ConcurrentMatchesAgreeWithDirectMatch) {
   // Workers race on the same (query, page) keys: lost insertion races
-  // and hits read while other keys are inserted.
+  // and hits read while other keys are inserted. Each page's truncated
+  // and duplicated variants follow it, so neighbouring calls miss
+  // different pages holding the same records and race to fill the
+  // record-token cache.
   auto s = BuildScenario();
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   auto plan = BuildPlan(*s, match::ErMode::kJaccard, 0.6);
   ASSERT_NE(plan, nullptr);
-  const auto pages = TestPages(*s, *plan);
+  const auto pages = TokenCachePages(*s, *plan);
   std::vector<std::vector<table::RecordId>> want(pages.size());
   for (size_t i = 0; i < pages.size(); ++i) {
     want[i] = plan->MatchPage(pages[i].first, pages[i].second->records(), {});
@@ -310,7 +441,12 @@ TEST(PageMatchTest, ConcurrentMatchesAgreeWithDirectMatch) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i % pages.size()]) << "call " << i;
   }
-  EXPECT_EQ(memo.stats().hits + memo.stats().misses, got.size());
+  const PageMatchMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.hits + stats.misses, got.size());
+  // Whoever loses a fill race counts a hit, so each distinct record is one
+  // miss however the calls interleave.
+  EXPECT_EQ(stats.record_token_misses, DistinctRecords(pages).size());
+  EXPECT_GT(stats.record_token_hits, 0u);
 }
 
 }  // namespace

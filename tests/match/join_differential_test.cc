@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,11 @@ struct JoinShape {
   size_t nl, nr, vocab, max_len;
   uint64_t seed;
 };
+
+// By tag: gtest's default prints the raw bytes, `tag`'s address among them,
+// which would put a different ASLR address into the listed test name on
+// every run of the binary.
+void PrintTo(const JoinShape& s, std::ostream* os) { *os << s.tag; }
 
 class JoinDifferentialTest : public ::testing::TestWithParam<JoinShape> {};
 

@@ -1,6 +1,13 @@
 #include "text/document.h"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "text/token_set.h"
 
 namespace smartcrawl::text {
 namespace {
@@ -40,6 +47,59 @@ TEST(DocumentTest, FromTextFrozenCountsUnknown) {
   Document unknown = Document::FromTextFrozen("steak grill steak bar", dict);
   EXPECT_EQ(unknown.size(), 3u);
   EXPECT_EQ(unknown.IntersectionSize(local), 0u);
+}
+
+TEST(DocumentTest, TokenSetKeepsDistinctTokensWithTheirHashes) {
+  const std::vector<std::string> fields = {"Thai House", "", "house THAI",
+                                           "the grill"};
+  const TokenSet set(fields);
+  std::vector<std::string> texts;
+  for (const TokenSet::Token& t : set.tokens()) {
+    texts.emplace_back(t.text);
+    EXPECT_EQ(t.hash, TermDictionary::Hash(t.text));
+  }
+  std::sort(texts.begin(), texts.end());
+  EXPECT_EQ(texts, (std::vector<std::string>{"grill", "house", "thai"}));
+  // The text constructor sees the fields joined by spaces: same tokens.
+  EXPECT_EQ(TokenSet("Thai House  house THAI the grill").size(), 3u);
+  EXPECT_EQ(TokenSet(std::vector<std::string>{}).size(), 0u);
+  EXPECT_EQ(TokenSet("the of and").size(), 0u);
+  // Moving the set keeps its views valid (they point into its arena).
+  TokenSet original(fields);
+  const TokenSet moved(std::move(original));
+  EXPECT_EQ(moved.size(), 3u);
+  for (const TokenSet::Token& t : moved.tokens()) {
+    EXPECT_EQ(t.hash, TermDictionary::Hash(t.text));
+  }
+}
+
+TEST(DocumentTest, FromFieldsEqualsFromTextOverJoinedFields) {
+  const std::vector<std::string> fields = {"Deep Web", "web-crawling", "",
+                                           "2019 of"};
+  TermDictionary by_fields;
+  TermDictionary by_text;
+  Document a = Document::FromFields(fields, by_fields);
+  Document b = Document::FromText("Deep Web web-crawling  2019 of", by_text);
+  EXPECT_EQ(a, b);
+  ASSERT_EQ(by_fields.size(), by_text.size());  // same terms, same ids
+  for (TermId t = 0; t < by_fields.size(); ++t) {
+    EXPECT_EQ(by_fields.TermOf(t), by_text.TermOf(t));
+  }
+}
+
+TEST(DocumentTest, FromTokensFrozenEqualsFromTextFrozen) {
+  TermDictionary dict;
+  Document::FromText("noodle house thai", dict);
+  for (const char* text : {"Thai noodle bar bar grill", "", "the of",
+                           "unknown words only", "NOODLE noodle"}) {
+    EXPECT_EQ(Document::FromTokensFrozen(TokenSet(text), dict),
+              Document::FromTextFrozen(text, dict))
+        << text;
+  }
+  Document d = Document::FromTokensFrozen(TokenSet("Thai bar grill bar"), dict);
+  EXPECT_EQ(d.size(), 3u);  // thai + two distinct unknowns
+  EXPECT_EQ(d.terms()[1], dict.size());
+  EXPECT_EQ(d.terms()[2], dict.size() + 1);
 }
 
 TEST(DocumentTest, ContainsAllConjunctiveSemantics) {
