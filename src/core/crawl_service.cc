@@ -1,5 +1,6 @@
 #include "core/crawl_service.h"
 
+#include <map>
 #include <utility>
 
 #include "util/status.h"
@@ -96,13 +97,25 @@ Status CrawlService::Drive(const std::vector<SessionSpec>& specs,
   sc.pending.assign(n, 0);
   size_t running = n;
 
+  // Every fresh session of one (plan, k) starts from the same priorities,
+  // so each distinct pair's initial order is built once and shared. Like
+  // the memo's entries, the orders live for this run only.
+  std::map<std::pair<const CrawlPlan*, size_t>, CrawlSession::InitialOrder>
+      orders;
   for (size_t i = 0; i < n; ++i) {
     sc.sessions[i] =
         std::make_unique<CrawlSession>(*specs[i].plan, &page_memo_);
     sc.sessions[i]->AttachTransport(shared_origin, specs[i].transport);
-    Status begun = sc.sessions[i]->Begin(
-        sc.sessions[i]->transport()->top()->top_k(), specs[i].budget);
-    if (!begun.ok()) {
+    const size_t top_k = sc.sessions[i]->transport()->top()->top_k();
+    auto [order, fresh] = orders.try_emplace({specs[i].plan.get(), top_k});
+    if (fresh) {
+      order->second = CrawlSession::BuildInitialOrder(*specs[i].plan, top_k);
+    }
+    Status begun =
+        sc.sessions[i]->Begin(top_k, specs[i].budget, &order->second);
+    if (begun.ok()) {
+      sc.sessions[i]->Select();
+    } else {
       sc.done[i] = 1;
       --running;
       SessionOutcome outcome;
@@ -114,13 +127,13 @@ Status CrawlService::Drive(const std::vector<SessionSpec>& specs,
 
   util::ThreadPool workers(options_.num_threads);
   while (running > 0) {
-    // Phase A — transport: each live session issues at most one accepted
-    // query, in session-index order on this thread. All Search calls (and
-    // thus all shared-cache mutation) are serialized here; the fixed walk
-    // order also keeps per-tenant quota delta-accounting exact over the
-    // shared inner chain and makes cross-tenant cache warming
-    // deterministic: a query session j answers in this round is already a
-    // hit for session i > j in the SAME round.
+    // Phase A — transport: each live session issues its parked query (at
+    // most one accepted query), in session-index order on this thread. All
+    // Search calls (and thus all shared-cache mutation) are serialized
+    // here; the fixed walk order also keeps per-tenant quota
+    // delta-accounting exact over the shared inner chain and makes
+    // cross-tenant cache warming deterministic: a query session j answers
+    // in this round is already a hit for session i > j in the SAME round.
     for (size_t i = 0; i < n; ++i) {
       if (sc.done[i]) continue;
       Result<bool> have_page = sc.sessions[i]->IssueNext();
@@ -139,12 +152,15 @@ Status CrawlService::Drive(const std::vector<SessionSpec>& specs,
       on_finish(i, std::move(outcome));
     }
     // Phase B — compute: match the fetched pages and remove their records
-    // on the worker pool. Sessions are isolated (own state + const plans), writes
-    // are index-addressed per session, so any thread count produces the
-    // same per-session results bit for bit.
+    // on the worker pool, then select each session's next query (the queue
+    // pop with its repairs) and park it for the next Phase A. Sessions are
+    // isolated (own state + const plans), writes are index-addressed per
+    // session, so any thread count produces the same per-session results
+    // bit for bit.
     workers.ParallelFor(0, n, /*grain=*/1, [&sc](size_t i) {
       if (sc.pending[i]) {
         sc.sessions[i]->ProcessPendingPage();
+        sc.sessions[i]->Select();
         sc.pending[i] = 0;
       }
     });

@@ -41,22 +41,35 @@
 /// identical to memo-less sessions; see page_match_memo.h). The memo is
 /// cleared when the run ends.
 ///
-/// Each round has an issue half (Phase A: every live session issues at
-/// most one accepted query, in session-index order, all transport and
-/// shared-cache mutation serialized on the calling thread) and a compute
-/// half (Phase B: the fetched pages are matched and their records removed
-/// on the worker pool, marking the dirtied queries; each session touches
+/// Each round has an issue half (Phase A: every live session issues its
+/// parked query, at most one accepted query per session, in session-index
+/// order, all transport and shared-cache mutation serialized on the
+/// calling thread) and a compute half (Phase B: the fetched pages are
+/// matched and their records removed on the worker pool, marking the
+/// dirtied queries, and each session then selects its next query with
+/// CrawlSession::Select, so the queue pop and the repair of every dirtied
+/// query that reaches the top run on the workers too; each session touches
 /// only its own state plus const plans). The two halves alternate with a
-/// full barrier between them. A dirtied query is recomputed when it next
-/// reaches the top of its session's queue, inside Phase A's IssueNext.
+/// full barrier between them. Phase A falls back to selecting inline only
+/// after an unavailable or rejected query.
+///
+/// Setup stays on the calling thread: each session is constructed and
+/// begun there (building sessions on the workers grew peak RSS through
+/// per-thread malloc arenas) and selects its first query. Every fresh
+/// session of one (plan, k) starts from the same priorities, so a run
+/// builds each distinct pair's CrawlSession::InitialOrder once and every
+/// session's queue is a cursor into it; the orders live for the run only.
 ///
 /// Determinism (pinned by tests/core/crawl_service_test.cc): transport
 /// calls run in one total order — session-index order within a round,
 /// rounds increasing, all on one thread — and a session's issue decisions
 /// read only its own state plus the transport chain (whose state is a
-/// function of that call prefix). Phase B never touches transport and no
-/// result crosses sessions, so every per-session CrawlResult, finish
-/// order, quota and cache counter is bit-identical at any worker count.
+/// function of that call prefix). Selection reads only session state, and
+/// nothing changes it between the end of Phase B and the session's next
+/// IssueNext, so selecting in Phase B picks what Phase A would have. Phase
+/// B never touches transport and no result crosses sessions, so every
+/// per-session CrawlResult, finish order, quota and cache counter is
+/// bit-identical at any worker count.
 ///
 /// RunAll() is the batch surface (all outcomes at once, spec order);
 /// Drive() is the streaming surface (a callback fires the moment a

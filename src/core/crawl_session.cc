@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/page_match_memo.h"
 #include "util/result.h"
@@ -16,6 +19,37 @@
 /// the golden suite and the service equivalence tests).
 
 namespace smartcrawl::core {
+
+namespace {
+
+/// The selection priority of pool query `q` under `plan`'s policy, given
+/// the per-query counters. The liveness epsilon (see kLivenessEpsilon)
+/// keeps zero-estimate queries that still match uncovered records above
+/// the stop-on-zero threshold without disturbing the ordering of real
+/// estimates; ties are then broken deterministically by query id.
+double PriorityFrom(const CrawlPlan& plan, const EstimatorContext& ctx,
+                    std::span<const uint32_t> freq_d,
+                    std::span<const uint32_t> inter,
+                    std::span<const uint32_t> cover_count, QueryIdx q) {
+  switch (plan.options().policy) {
+    case SelectionPolicy::kSimple:
+    case SelectionPolicy::kBound:
+      return static_cast<double>(freq_d[q]);
+    case SelectionPolicy::kIdeal:
+      return static_cast<double>(cover_count[q]);
+    case SelectionPolicy::kEstBiased:
+      return EstimateBenefit(EstimatorKind::kBiased, freq_d[q],
+                             plan.freq_hs()[q], inter[q], ctx) +
+             (freq_d[q] > 0 ? kLivenessEpsilon : 0.0);
+    case SelectionPolicy::kEstUnbiased:
+      return EstimateBenefit(EstimatorKind::kUnbiased, freq_d[q],
+                             plan.freq_hs()[q], inter[q], ctx) +
+             (freq_d[q] > 0 ? kLivenessEpsilon : 0.0);
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 CrawlSession::CrawlSession(const CrawlPlan& plan, PageMatchMemo* page_memo)
     : plan_(&plan),
@@ -35,26 +69,25 @@ void CrawlSession::AttachTransport(hidden::KeywordSearchInterface* origin,
 }
 
 double CrawlSession::PriorityOf(QueryIdx q) const {
-  // The liveness epsilon (see kLivenessEpsilon) keeps zero-estimate queries
-  // that still match uncovered records above the stop-on-zero threshold
-  // without disturbing the ordering of real estimates; ties are then broken
-  // deterministically by query id.
-  switch (plan_->options().policy) {
-    case SelectionPolicy::kSimple:
-    case SelectionPolicy::kBound:
-      return static_cast<double>(freq_d_[q]);
-    case SelectionPolicy::kIdeal:
-      return static_cast<double>(cover_count_[q]);
-    case SelectionPolicy::kEstBiased:
-      return EstimateBenefit(EstimatorKind::kBiased, freq_d_[q],
-                             plan_->freq_hs()[q], inter_[q], ctx_) +
-             (freq_d_[q] > 0 ? kLivenessEpsilon : 0.0);
-    case SelectionPolicy::kEstUnbiased:
-      return EstimateBenefit(EstimatorKind::kUnbiased, freq_d_[q],
-                             plan_->freq_hs()[q], inter_[q], ctx_) +
-             (freq_d_[q] > 0 ? kLivenessEpsilon : 0.0);
+  return PriorityFrom(*plan_, ctx_, freq_d_, inter_, cover_count_, q);
+}
+
+CrawlSession::InitialOrder CrawlSession::BuildInitialOrder(
+    const CrawlPlan& plan, size_t top_k) {
+  // A fresh session's counters are the plan's initial ones and its context
+  // is the plan's with k pinned, so these are exactly the priorities its
+  // PriorityOf would compute.
+  EstimatorContext ctx = plan.estimator_context();
+  ctx.k = top_k;
+  std::vector<index::LazyPriorityQueue::Entry> entries(plan.pool().size());
+  for (QueryIdx q = 0; q < entries.size(); ++q) {
+    entries[q] = {PriorityFrom(plan, ctx, plan.initial_freq_d(),
+                               plan.initial_inter(),
+                               plan.initial_cover_count(), q),
+                  q};
   }
-  return 0.0;
+  return InitialOrder{&plan, top_k,
+                      index::LazyPriorityQueue::MakeOrder(std::move(entries))};
 }
 
 void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
@@ -93,7 +126,8 @@ void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
   }
 }
 
-Status CrawlSession::Begin(size_t top_k, size_t budget) {
+Status CrawlSession::Begin(size_t top_k, size_t budget,
+                           const InitialOrder* order) {
   if (pending_) {
     return Status::FailedPrecondition(
         "Begin() called with a page still pending; call "
@@ -101,17 +135,24 @@ Status CrawlSession::Begin(size_t top_k, size_t budget) {
   }
   if (pq_ == nullptr) {
     // First call: fix k and seed the selection state.
+    InitialOrder own;
+    if (order == nullptr) {
+      own = BuildInitialOrder(*plan_, top_k);
+      order = &own;
+    } else if (order->plan != plan_ || order->top_k != top_k) {
+      return Status::InvalidArgument(
+          "Begin() was given an initial order built for another plan or "
+          "top-k");
+    }
     ctx_.k = top_k;
     pq_ = std::make_unique<index::LazyPriorityQueue>(
-        [this](uint32_t q) { return PriorityOf(q); });
-    for (QueryIdx q = 0; q < plan_->pool().size(); ++q) {
-      pq_->Push(q, PriorityOf(q));
-    }
+        [this](uint32_t q) { return PriorityOf(q); }, order->entries);
   } else if (ctx_.k != top_k) {
     return Status::InvalidArgument(
         "resumed Crawl() must use an interface with the same top-k (" +
         std::to_string(ctx_.k) + " vs " + std::to_string(top_k) + ")");
   }
+  Unpark();
   result_ = CrawlResult{};
   budget_left_ = budget;
   decrements_at_start_ = delta_decrements_total_;
@@ -119,26 +160,42 @@ Status CrawlSession::Begin(size_t top_k, size_t budget) {
   return Status::OK();
 }
 
+void CrawlSession::Select() {
+  assert(!pending_ && "process the pending page before selecting");
+  if (finished_ || parked_ != Parked::kNothing) return;
+  if (budget_left_ == 0 || num_active_ == 0) {
+    parked_ = num_active_ == 0 ? Parked::kStopEarly : Parked::kStop;
+    return;
+  }
+  if (!pq_->PopMax(&parked_query_, &parked_priority_)) {
+    parked_ = Parked::kStopEarly;
+    return;
+  }
+  parked_popped_ = true;
+  parked_ = parked_priority_ <= 0.0 && plan_->options().stop_on_zero_benefit
+                ? Parked::kStopEarly
+                : Parked::kQuery;
+}
+
+void CrawlSession::Unpark() {
+  if (parked_popped_) pq_->Push(parked_query_, parked_priority_);
+  parked_popped_ = false;
+  parked_ = Parked::kNothing;
+}
+
 Result<bool> CrawlSession::IssueNext(hidden::KeywordSearchInterface* iface) {
   assert(!pending_ && "process the pending page before issuing again");
   while (true) {
-    if (budget_left_ == 0 || num_active_ == 0) {
-      if (num_active_ == 0) result_.stopped_early = true;
+    Select();  // a no-op when the selection is already parked
+    const Parked parked = std::exchange(parked_, Parked::kNothing);
+    parked_popped_ = false;  // consumed: a stop drops its popped query
+    if (parked != Parked::kQuery) {
+      if (parked == Parked::kStopEarly) result_.stopped_early = true;
       finished_ = true;
       return false;
     }
-    uint32_t q = 0;
-    double priority = 0.0;
-    if (!pq_->PopMax(&q, &priority)) {
-      result_.stopped_early = true;
-      finished_ = true;
-      return false;
-    }
-    if (priority <= 0.0 && plan_->options().stop_on_zero_benefit) {
-      result_.stopped_early = true;
-      finished_ = true;
-      return false;
-    }
+    const QueryIdx q = parked_query_;
+    const double priority = parked_priority_;
 
     auto page_or = iface->SearchPage(plan_->pool().queries[q].keywords);
     if (!page_or.ok()) {
@@ -290,6 +347,7 @@ void CrawlSession::ProcessPendingPage() {
 
 CrawlResult CrawlSession::TakeResult() {
   assert(!pending_ && "process the pending page before taking the result");
+  Unpark();
   for (table::RecordId d = 0; d < covered_.size(); ++d) {
     if (covered_[d]) result_.covered_local_ids.push_back(d);
   }

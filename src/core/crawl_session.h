@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -35,18 +36,31 @@
 /// Two ways to drive a session:
 ///  * Crawl(iface, budget) — the classic blocking loop, resumable across
 ///    calls exactly like the old SmartCrawler::Crawl.
-///  * the step API — Begin / IssueNext / ProcessPendingPage / TakeResult —
-///    which splits each iteration into its transport half (IssueNext,
-///    touches the interface, must stay on the driving thread) and its
-///    compute half (ProcessPendingPage, touches only session-local state
-///    plus the const plan, safe on a worker thread). Crawl() is
-///    implemented on top of the step API, so both paths execute the same
-///    code and produce bit-identical results.
+///  * the step API — Begin / Select / IssueNext / ProcessPendingPage /
+///    TakeResult — which splits each iteration into its transport half
+///    (IssueNext, touches the interface, must stay on the driving thread)
+///    and its compute half (ProcessPendingPage and Select, touch only
+///    session-local state plus the const plan, safe on a worker thread).
+///    Crawl() is implemented on top of the step API, so both paths execute
+///    the same code and produce bit-identical results.
+///
+/// Selection is one routine, Select: the budget and liveness checks, the
+/// priority-queue pop with its repairs, and the zero-benefit stop. It
+/// parks its outcome (a query and its priority, or the end of the call) in
+/// the session, and the next IssueNext consumes it and only fetches.
+/// Nothing between the end of ProcessPendingPage and the next IssueNext
+/// changes what Select reads, so selecting early changes no result: a
+/// service selects on its workers right after each page (see
+/// CrawlService). IssueNext calls Select itself when nothing is parked,
+/// and again after an unavailable or rejected query.
 ///
 /// Priority-queue repair after each removal fan-out is the paper's
 /// on-demand scheme (Sec. 6.3 / Algorithm 4): every dirtied query is
 /// marked through LazyPriorityQueue::MarkDirty and recomputed only when
-/// it reaches the top of the queue.
+/// it reaches the top of the queue. The queue starts from an InitialOrder,
+/// the pool sorted by initial priority, which depends only on (plan,
+/// top-k): a service builds it once per (plan, top-k) and shares it with
+/// every session that starts from it; a standalone session builds its own.
 
 namespace smartcrawl::core {
 
@@ -82,17 +96,42 @@ class CrawlSession {
 
   // ----- step API -------------------------------------------------------
 
+  /// The pool queries of `plan` sorted by the priority a fresh session
+  /// crawling against top-k `top_k` gives them: the order its queue starts
+  /// from. Immutable; any number of sessions may share one.
+  struct InitialOrder {
+    const CrawlPlan* plan = nullptr;
+    size_t top_k = 0;
+    index::LazyPriorityQueue::Order entries;
+  };
+
+  /// Builds the InitialOrder of (`plan`, `top_k`).
+  static InitialOrder BuildInitialOrder(const CrawlPlan& plan, size_t top_k);
+
   /// Starts (or resumes) one crawl call of up to `budget` queries against
   /// interfaces reporting `top_k`. The first call fixes k and seeds the
-  /// priority queue; later calls with a different top-k are rejected.
-  Status Begin(size_t top_k, size_t budget);
+  /// priority queue from `order` (built for this plan and `top_k`, else
+  /// rejected), or from its own BuildInitialOrder when null; later calls
+  /// ignore `order` and reject a different top-k.
+  Status Begin(size_t top_k, size_t budget,
+               const InitialOrder* order = nullptr);
 
-  /// Selects queries and issues them through `iface` until one returns a
-  /// page (true — process it with ProcessPendingPage before the next
-  /// IssueNext) or the crawl call is over (false — budget spent, pool
-  /// empty, benefit zero, or the interface ran out of quota). Touches the
-  /// interface, so concurrent sessions must serialize their IssueNext
-  /// calls (see CrawlService).
+  /// Selects the next query of the current call and parks it (or the end
+  /// of the call) for the next IssueNext. A no-op when a selection is
+  /// already parked or the call is over. Touches only session state, so a
+  /// worker may run it right after ProcessPendingPage. A parked query that
+  /// no IssueNext consumes goes back to the queue on TakeResult or Begin
+  /// (the repairs its pop made stay counted in pq_recomputes).
+  void Select();
+
+  /// Issues the parked query through `iface` (selecting first when nothing
+  /// is parked, and selecting again inline after an unavailable or
+  /// rejected query) until one returns a page (true — process it with
+  /// ProcessPendingPage before the next IssueNext) or the crawl call is
+  /// over (false — budget spent, pool empty, benefit zero, or the
+  /// interface ran out of quota; a query refused for quota goes back to
+  /// the queue). Touches the interface, so concurrent sessions must
+  /// serialize their IssueNext calls (see CrawlService).
   Result<bool> IssueNext(hidden::KeywordSearchInterface* iface);
 
   /// Convenience overload: issues through the attached transport stack.
@@ -144,6 +183,9 @@ class CrawlSession {
   void RemoveRecords(const std::vector<table::RecordId>& ids,
                      std::vector<QueryIdx>* dirtied);
 
+  /// Returns a parked, unconsumed query to the queue and clears the slot.
+  void Unpark();
+
   const CrawlPlan* plan_;
   PageMatchMemo* page_memo_;  // not owned; null = match on the plan
 
@@ -177,6 +219,20 @@ class CrawlSession {
   size_t budget_left_ = 0;
   uint64_t decrements_at_start_ = 0;
   bool finished_ = true;
+
+  /// What Select parked for the next IssueNext.
+  enum class Parked : uint8_t {
+    kNothing,    // IssueNext selects inline
+    kQuery,      // issue parked_query_
+    kStop,       // the call is over: budget spent
+    kStopEarly,  // the call is over early: D covered, pool dry, benefit 0
+  };
+  Parked parked_ = Parked::kNothing;
+  /// True while parked_query_/parked_priority_ hold an entry popped off
+  /// pq_ and not yet consumed (kQuery, or the zero-benefit kStopEarly).
+  bool parked_popped_ = false;
+  QueryIdx parked_query_ = 0;
+  double parked_priority_ = 0.0;
 
   // The page issued by IssueNext, awaiting ProcessPendingPage.
   bool pending_ = false;

@@ -65,12 +65,4 @@ std::optional<TermId> TermDictionary::Lookup(std::string_view term,
   return id;
 }
 
-std::vector<TermId> TermDictionary::InternAll(
-    const std::vector<std::string>& tokens) {
-  std::vector<TermId> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) out.push_back(Intern(t));
-  return out;
-}
-
 }  // namespace smartcrawl::text

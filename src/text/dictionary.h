@@ -48,9 +48,6 @@ class TermDictionary {
   /// loaders (e.g. the snapshot reader) that know the final size up front.
   void Reserve(size_t n);
 
-  /// Interns every string in `tokens`.
-  std::vector<TermId> InternAll(const std::vector<std::string>& tokens);
-
  private:
   /// One open-addressing slot: the high half of the term's hash, to skip
   /// most non-matching slots without touching terms_, and the term's id

@@ -51,12 +51,6 @@ Document Document::FromTokensFrozen(const TokenSet& tokens,
   return FromSortedUnique(std::move(ids));
 }
 
-Document Document::FromTextFrozen(std::string_view textv,
-                                  const TermDictionary& dict,
-                                  const TokenizerOptions& options) {
-  return FromTokensFrozen(TokenSet(textv, options), dict);
-}
-
 bool Document::Contains(TermId term) const {
   return std::binary_search(terms_.begin(), terms_.end(), term);
 }

@@ -47,11 +47,6 @@ class Document {
   static Document FromTokensFrozen(const TokenSet& tokens,
                                    const TermDictionary& dict);
 
-  /// FromTokensFrozen over the token set of raw text.
-  static Document FromTextFrozen(std::string_view textv,
-                                 const TermDictionary& dict,
-                                 const TokenizerOptions& options = {});
-
   /// Adopts `terms` verbatim — the caller guarantees they are already
   /// sorted ascending and unique (e.g. read back from a snapshot, where
   /// they were written from a Document). Skips the sort/dedup pass.

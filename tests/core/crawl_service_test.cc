@@ -594,5 +594,262 @@ TEST(CrawlServiceTest, PageMemoFleetWithFaultsMatchesMemolessSessions) {
   }
 }
 
+/// Every field of two crawl results, compared one by one.
+void ExpectSameResult(const CrawlResult& got, const CrawlResult& want) {
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  for (size_t i = 0; i < got.iterations.size(); ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    const IterationLog& g = got.iterations[i];
+    const IterationLog& w = want.iterations[i];
+    EXPECT_EQ(g.query, w.query);
+    EXPECT_EQ(g.page_size, w.page_size);
+    EXPECT_EQ(g.page_entities, w.page_entities);
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.estimated_benefit),
+              std::bit_cast<uint64_t>(w.estimated_benefit));
+  }
+  EXPECT_EQ(got.queries_issued, want.queries_issued);
+  EXPECT_EQ(got.stats.pool_size, want.stats.pool_size);
+  EXPECT_EQ(got.stats.pq_recomputes, want.stats.pq_recomputes);
+  EXPECT_EQ(got.stats.fanout_updates, want.stats.fanout_updates);
+  EXPECT_EQ(got.stats.records_fetched, want.stats.records_fetched);
+  EXPECT_EQ(got.stats.queries_unavailable, want.stats.queries_unavailable);
+  EXPECT_EQ(got.stats.queries_rejected, want.stats.queries_rejected);
+  EXPECT_EQ(got.stats.delta_decrements, want.stats.delta_decrements);
+  EXPECT_EQ(got.stopped_early, want.stopped_early);
+  EXPECT_EQ(got.covered_local_ids, want.covered_local_ids);
+  ASSERT_EQ(got.crawled_records.size(), want.crawled_records.size());
+  for (size_t i = 0; i < got.crawled_records.size(); ++i) {
+    EXPECT_EQ(got.crawled_records[i].id, want.crawled_records[i].id);
+    EXPECT_EQ(got.crawled_records[i].entity_id,
+              want.crawled_records[i].entity_id);
+    EXPECT_EQ(got.crawled_records[i].fields, want.crawled_records[i].fields);
+  }
+}
+
+/// Forwards searches to `origin` but reports the top-k values of `script`,
+/// one per top_k() call. A service reads each tenant's k once, in session
+/// order, while it sets a run up, so tenant i crawls with script[i]; a
+/// standalone Crawl reads it once too. The pages stay the origin's.
+class ScriptedTopKOrigin : public hidden::KeywordSearchInterface {
+ public:
+  ScriptedTopKOrigin(hidden::KeywordSearchInterface* origin,
+                     std::vector<size_t> script)
+      : origin_(origin), script_(std::move(script)) {}
+
+  Result<hidden::PageRef> SearchPage(
+      const std::vector<std::string>& keywords) override {
+    return origin_->SearchPage(keywords);
+  }
+  Result<std::vector<table::Record>> Search(
+      const std::vector<std::string>& keywords) override {
+    return CopyOutOfSearchPage(keywords);
+  }
+  size_t top_k() const override { return script_.at(calls_++); }
+  size_t num_queries_issued() const override {
+    return origin_->num_queries_issued();
+  }
+
+  size_t top_k_calls() const { return calls_; }
+
+ private:
+  hidden::KeywordSearchInterface* origin_;
+  std::vector<size_t> script_;
+  mutable size_t calls_ = 0;
+};
+
+TEST(CrawlServiceTest, SelectAheadMatchesSequentialCrawlsOnEdgeCases) {
+  // Phase B selects each session's next query ahead of Phase A. Whatever
+  // ends a session's call, every tenant's result must equal its spec
+  // crawled alone through CrawlSession::Crawl, at any worker count. The
+  // shared cache is off, so each tenant's stack sees exactly the calls it
+  // would see alone. The golden scenario, except that 30 local records
+  // have no hidden match.
+  datagen::DblpScenarioConfig cfg;
+  cfg.corpus.corpus_size = 4000;
+  cfg.corpus.db_community_fraction = 0.5;
+  cfg.hidden_size = 1500;
+  cfg.local_size = 250;
+  cfg.delta_d = 30;
+  cfg.top_k = 50;
+  cfg.error_rate = 0.2;
+  cfg.seed = 71;
+  auto s = datagen::BuildDblpScenario(cfg);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto sample = sample::BernoulliSample(*s->hidden, 0.025, 13);
+  SmartCrawlOptions est_options =
+      GoldenOptions(*s, SelectionPolicy::kEstBiased, match::ErMode::kJaccard);
+  est_options.keep_crawled_records = true;  // compared too
+  auto est_or = CrawlPlan::Build(&s->local, est_options, &sample);
+  ASSERT_TRUE(est_or.ok()) << est_or.status().ToString();
+  std::shared_ptr<const CrawlPlan> est = std::move(est_or).value();
+  // The Ideal policy's priority is a query's true cover count, which
+  // reaches zero while the records without a hidden match stay in D.
+  auto ideal_or = CrawlPlan::Build(
+      &s->local,
+      GoldenOptions(*s, SelectionPolicy::kIdeal, match::ErMode::kEntityOracle),
+      nullptr, s->hidden.get());
+  ASSERT_TRUE(ideal_or.ok()) << ideal_or.status().ToString();
+  std::shared_ptr<const CrawlPlan> ideal = std::move(ideal_or).value();
+
+  // Two top-k values over one plan give two different initial orders.
+  const CrawlSession::InitialOrder at50 =
+      CrawlSession::BuildInitialOrder(*est, 50);
+  const CrawlSession::InitialOrder at20 =
+      CrawlSession::BuildInitialOrder(*est, 20);
+  ASSERT_EQ(at50.entries->size(), at20.entries->size());
+  bool orders_differ = false;
+  for (size_t i = 0; i < at50.entries->size(); ++i) {
+    orders_differ |= (*at50.entries)[i].id != (*at20.entries)[i].id ||
+                     (*at50.entries)[i].priority != (*at20.entries)[i].priority;
+  }
+  EXPECT_TRUE(orders_differ);
+
+  struct Tenant {
+    std::shared_ptr<const CrawlPlan> plan;
+    size_t top_k;
+    size_t budget;
+    size_t daily_quota;  // 0 = none
+    double fault_rate;   // transient faults, no retries => kUnavailable
+  };
+  const Tenant tenants[] = {
+      {est, 50, 20, 0, 0.0},      // plain
+      {est, 20, 20, 0, 0.0},      // same plan, second order
+      {est, 50, 25, 6, 0.0},      // quota < budget: refused pre-selection
+      {est, 20, 15, 0, 0.4},      // unavailable queries: inline re-select
+      {ideal, 50, 5000, 0, 0.0},  // runs until the zero-benefit stop
+      {est, 20, 0, 0, 0.0},       // budget 0
+      {ideal, 20, 12, 8, 0.5},    // quota and faults together
+      {est, 50, 30, 0, 0.3},
+  };
+  std::vector<SessionSpec> specs;
+  std::vector<size_t> script;
+  for (size_t i = 0; i < std::size(tenants); ++i) {
+    const Tenant& t = tenants[i];
+    SessionSpec spec;
+    spec.plan = t.plan;
+    spec.budget = t.budget;
+    spec.transport.daily_quota = t.daily_quota;
+    if (t.fault_rate > 0.0) {
+      spec.transport.inject_faults = true;
+      spec.transport.fault.transient_fault_rate = t.fault_rate;
+      spec.transport.fault.seed = 300 + i;
+      spec.transport.retry.max_attempts = 1;
+    }
+    specs.push_back(std::move(spec));
+    script.push_back(t.top_k);
+  }
+
+  std::vector<CrawlResult> alone(specs.size());
+  std::vector<size_t> alone_active(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("alone " + std::to_string(i));
+    ScriptedTopKOrigin origin(s->hidden.get(), {script[i]});
+    CrawlSession session(*specs[i].plan);
+    session.AttachTransport(&origin, specs[i].transport);
+    auto result = session.Crawl(specs[i].budget);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    alone[i] = std::move(result).value();
+    alone_active[i] = session.NumActive();
+  }
+  // The fleet really reaches every edge.
+  EXPECT_EQ(alone[2].queries_issued, 6u);  // quota, not budget, ended it
+  EXPECT_FALSE(alone[2].stopped_early);
+  EXPECT_GT(alone[3].stats.queries_unavailable, 0u);
+  EXPECT_GT(alone[6].stats.queries_unavailable, 0u);
+  EXPECT_TRUE(alone[4].stopped_early);  // benefit 0 with records left
+  EXPECT_LT(alone[4].queries_issued, ideal->pool().size());
+  EXPECT_GT(alone_active[4], 0u);
+  EXPECT_EQ(alone[5].queries_issued, 0u);
+  EXPECT_FALSE(alone[5].stopped_early);
+
+  for (unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CrawlServiceOptions sopt;
+    sopt.num_threads = threads;
+    sopt.shared_cache_capacity = 0;
+    ScriptedTopKOrigin origin(s->hidden.get(), script);
+    CrawlService service(&origin, sopt);
+    auto outcomes = service.RunAll(specs);
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    EXPECT_EQ(origin.top_k_calls(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("session " + std::to_string(i));
+      ASSERT_TRUE((*outcomes)[i].status.ok())
+          << (*outcomes)[i].status.ToString();
+      ExpectSameResult((*outcomes)[i].result, alone[i]);
+    }
+    EXPECT_EQ((*outcomes)[2].quota_used_today, 6u);
+  }
+}
+
+TEST(CrawlServiceTest, UnconsumedSelectionGoesBackToTheQueue) {
+  // A query Select parked but no IssueNext consumed is returned to the
+  // queue when the call ends: a resumed call then crawls exactly as if the
+  // selection had never been made.
+  auto s = BuildGoldenScenario();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto sample = sample::BernoulliSample(*s->hidden, 0.025, 13);
+  auto plan_or =
+      CrawlPlan::Build(&s->local,
+                       GoldenOptions(*s, SelectionPolicy::kEstBiased,
+                                     match::ErMode::kJaccard),
+                       &sample);
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  std::shared_ptr<const CrawlPlan> plan = std::move(plan_or).value();
+
+  auto crawl_two_calls = [&](bool select_ahead) {
+    CrawlSession session(*plan);
+    hidden::KeywordSearchInterface* iface = s->hidden.get();
+    std::vector<CrawlResult> calls;
+    EXPECT_TRUE(session.Begin(iface->top_k(), 100).ok());
+    for (int step = 0; step < 8; ++step) {
+      Result<bool> have_page = session.IssueNext(iface);
+      EXPECT_TRUE(have_page.ok() && *have_page);
+      session.ProcessPendingPage();
+      if (select_ahead) session.Select();
+    }
+    calls.push_back(session.TakeResult());  // abandons the parked query
+    auto resumed = session.Crawl(iface, 10);
+    EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+    calls.push_back(std::move(resumed).value());
+    return calls;
+  };
+  const std::vector<CrawlResult> plain = crawl_two_calls(false);
+  std::vector<CrawlResult> ahead = crawl_two_calls(true);
+  ASSERT_EQ(plain.size(), 2u);
+  ASSERT_EQ(ahead.size(), 2u);
+  // The abandoned selection's repairs were done in the first call, so that
+  // call reports them; the lifetime count after the resumed call is equal.
+  EXPECT_GE(ahead[0].stats.pq_recomputes, plain[0].stats.pq_recomputes);
+  ahead[0].stats.pq_recomputes = plain[0].stats.pq_recomputes;
+  for (size_t c = 0; c < 2; ++c) {
+    SCOPED_TRACE("call " + std::to_string(c));
+    ExpectSameResult(ahead[c], plain[c]);
+  }
+}
+
+TEST(CrawlServiceTest, BeginRejectsAnOrderBuiltForAnotherPlanOrTopK) {
+  auto s = BuildGoldenScenario();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto plan_or = CrawlPlan::Build(
+      &s->local,
+      GoldenOptions(*s, SelectionPolicy::kSimple, match::ErMode::kExact));
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  std::shared_ptr<const CrawlPlan> plan = std::move(plan_or).value();
+  auto other_or = CrawlPlan::Build(
+      &s->local,
+      GoldenOptions(*s, SelectionPolicy::kSimple, match::ErMode::kExact));
+  ASSERT_TRUE(other_or.ok()) << other_or.status().ToString();
+
+  const CrawlSession::InitialOrder order =
+      CrawlSession::BuildInitialOrder(*plan, 50);
+  CrawlSession wrong_k(*plan);
+  EXPECT_TRUE(wrong_k.Begin(20, 5, &order).IsInvalidArgument());
+  CrawlSession wrong_plan(**other_or);
+  EXPECT_TRUE(wrong_plan.Begin(50, 5, &order).IsInvalidArgument());
+  CrawlSession right(*plan);
+  EXPECT_TRUE(right.Begin(50, 5, &order).ok());
+}
+
 }  // namespace
 }  // namespace smartcrawl::core

@@ -32,9 +32,10 @@ TEST(DictionaryTest, LookupMissing) {
   EXPECT_EQ(*dict.Lookup("x"), 0u);
 }
 
-TEST(DictionaryTest, InternAllAndLookupAll) {
+TEST(DictionaryTest, InternSequenceThenLookup) {
   TermDictionary dict;
-  auto ids = dict.InternAll({"a", "b", "a"});
+  std::vector<TermId> ids;
+  for (const char* t : {"a", "b", "a"}) ids.push_back(dict.Intern(t));
   EXPECT_EQ(ids, (std::vector<TermId>{0, 1, 0}));
   EXPECT_EQ(dict.Lookup("b"), std::optional<TermId>(1));
   EXPECT_FALSE(dict.Lookup("missing").has_value());

@@ -27,12 +27,13 @@ TEST(DocumentTest, FromTextInterns) {
   EXPECT_TRUE(d.Contains(*dict.Lookup("house")));
 }
 
-TEST(DocumentTest, FromTextFrozenCountsUnknown) {
+TEST(DocumentTest, FromTokensFrozenCountsUnknown) {
   TermDictionary dict;
   dict.Intern("thai");
   dict.Intern("house");
-  Document local = Document::FromTextFrozen("Thai House", dict);
-  Document d = Document::FromTextFrozen("Thai Steak House steak", dict);
+  Document local = Document::FromTokensFrozen(TokenSet("Thai House"), dict);
+  Document d =
+      Document::FromTokensFrozen(TokenSet("Thai Steak House steak"), dict);
   // "steak" is unseen: counted once (with an id past the dictionary), so
   // the Jaccard denominator matches interning, but it matches nothing.
   EXPECT_EQ(d.size(), 3u);
@@ -44,7 +45,8 @@ TEST(DocumentTest, FromTextFrozenCountsUnknown) {
 
   // Distinct unseen tokens get distinct ids; an all-unknown text still
   // has its full size.
-  Document unknown = Document::FromTextFrozen("steak grill steak bar", dict);
+  Document unknown =
+      Document::FromTokensFrozen(TokenSet("steak grill steak bar"), dict);
   EXPECT_EQ(unknown.size(), 3u);
   EXPECT_EQ(unknown.IntersectionSize(local), 0u);
 }
@@ -87,15 +89,20 @@ TEST(DocumentTest, FromFieldsEqualsFromTextOverJoinedFields) {
   }
 }
 
-TEST(DocumentTest, FromTokensFrozenEqualsFromTextFrozen) {
+TEST(DocumentTest, FromTokensFrozenEqualsInterningIntoACopy) {
+  // A frozen document holds the known ids plus one overflow id per
+  // distinct unseen token, dict.size() upwards: exactly the document that
+  // interning the text into a copy of the dictionary gives.
   TermDictionary dict;
   Document::FromText("noodle house thai", dict);
   for (const char* text : {"Thai noodle bar bar grill", "", "the of",
                            "unknown words only", "NOODLE noodle"}) {
+    TermDictionary copy = dict;
     EXPECT_EQ(Document::FromTokensFrozen(TokenSet(text), dict),
-              Document::FromTextFrozen(text, dict))
+              Document::FromText(text, copy))
         << text;
   }
+  EXPECT_EQ(dict.size(), 3u);
   Document d = Document::FromTokensFrozen(TokenSet("Thai bar grill bar"), dict);
   EXPECT_EQ(d.size(), 3u);  // thai + two distinct unknowns
   EXPECT_EQ(d.terms()[1], dict.size());
