@@ -6,10 +6,12 @@
 ///   * BM_IntersectionSize_*    — count-only kernels by shape: dense/dense
 ///                                (bitmap AND), skewed (galloping),
 ///                                balanced (merge), multi-term (k-way).
-///   * BM_IntersectPostings_MultiTerm — the materializing path, which is
-///                                exactly what the pre-CSR IntersectionSize
-///                                did for multi-term queries (reference for
-///                                the >= 2x count-only acceptance bar).
+///   * BM_IntersectPostings_*   — the materializing path by shape: one
+///                                term (a posting-list copy), dense pair,
+///                                skewed pair and multi-term. It runs the
+///                                same k-way probe as the count path and
+///                                also writes the hits out, so each shape
+///                                pairs with its BM_IntersectionSize_* twin.
 ///   * BM_RemoveRecordsFanout_* — the estimator delta update: Reference
 ///                                re-evaluates ContainsAll per
 ///                                (record x query x sample match) over
@@ -142,17 +144,34 @@ void BM_IntersectionSize_MultiTerm(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionSize_MultiTerm);
 
-/// Reference for BM_IntersectionSize_MultiTerm: materialize the full
-/// intersection and take its size — the pre-CSR implementation of
-/// IntersectionSize for multi-term queries.
-void BM_IntersectPostings_MultiTerm(benchmark::State& state) {
+void IntersectPostingsBench(benchmark::State& state,
+                            std::vector<text::TermId> q) {
   const size_t n = ScaledN(100000);
   const auto& f = Fixture(n);
-  const std::vector<text::TermId> q = {0, 1, 2, 3};
+  std::sort(q.begin(), q.end());
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.idx.IntersectPostings(q).size());
   }
   state.counters["docs"] = static_cast<double>(n);
+}
+
+void BM_IntersectPostings_SingleTerm(benchmark::State& state) {
+  IntersectPostingsBench(state, {3});  // copy of the N/37 list
+}
+BENCHMARK(BM_IntersectPostings_SingleTerm);
+
+void BM_IntersectPostings_BitmapPair(benchmark::State& state) {
+  IntersectPostingsBench(state, {0, 1});  // N/4 list probed into a bitmap
+}
+BENCHMARK(BM_IntersectPostings_BitmapPair);
+
+void BM_IntersectPostings_GallopSkewed(benchmark::State& state) {
+  IntersectPostingsBench(state, {3, 6});  // N/2000 galloping into N/37
+}
+BENCHMARK(BM_IntersectPostings_GallopSkewed);
+
+void BM_IntersectPostings_MultiTerm(benchmark::State& state) {
+  IntersectPostingsBench(state, {0, 1, 2, 3});
 }
 BENCHMARK(BM_IntersectPostings_MultiTerm);
 

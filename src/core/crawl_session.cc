@@ -61,7 +61,8 @@ CrawlSession::CrawlSession(const CrawlPlan& plan, PageMatchMemo* page_memo)
       ctx_(plan.estimator_context()),
       removed_(plan.num_records(), 0),
       covered_(plan.num_records(), 0),
-      num_active_(plan.num_records()) {}
+      num_active_(plan.num_records()),
+      in_frontier_(plan.pool().size(), 0) {}
 
 void CrawlSession::AttachTransport(hidden::KeywordSearchInterface* origin,
                                    const net::TransportOptions& options) {
@@ -90,6 +91,14 @@ CrawlSession::InitialOrder CrawlSession::BuildInitialOrder(
                       index::LazyPriorityQueue::MakeOrder(std::move(entries))};
 }
 
+void CrawlSession::AddToFrontier(QueryIdx q, std::vector<QueryIdx>* dirtied) {
+  // A batch of removed records dirties the same query many times; the
+  // priority queue repairs each entry at most once.
+  if (in_frontier_[q]) return;
+  in_frontier_[q] = 1;
+  dirtied->push_back(q);
+}
+
 void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
                                  std::vector<QueryIdx>* dirtied) {
   // Pure index-addressed arithmetic: the forward row gives the fan-out,
@@ -115,12 +124,12 @@ void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
         inter_[q] -= dec;
         delta_decrements_total_ += dec;
       }
-      dirtied->push_back(q);
+      AddToFrontier(q, dirtied);
     }
     if (!cover_count_.empty()) {
       for (index::QueryIdx q : plan_->cover_forward().Queries(d)) {
         if (cover_count_[q] > 0) --cover_count_[q];
-        dirtied->push_back(q);
+        AddToFrontier(q, dirtied);
       }
     }
   }
@@ -329,14 +338,15 @@ void CrawlSession::ProcessPendingPage() {
     }
   }
 
-  // A batch of removed records dirties the same query many times; the
-  // priority queue repairs each entry at most once, so deduplicate before
-  // repairing (and count the fan-out as the queue actually sees it).
-  std::sort(dirtied.begin(), dirtied.end());
-  dirtied.erase(std::unique(dirtied.begin(), dirtied.end()), dirtied.end());
+  // The frontier holds each dirtied query once (AddToFrontier), so the
+  // fan-out counts queries as the priority queue sees them. Clearing the
+  // marks leaves them all zero for the next page.
   result_.stats.fanout_updates += dirtied.size();
   result_.stats.records_fetched += page.size();
-  for (QueryIdx dq : dirtied) pq_->MarkDirty(dq);
+  for (QueryIdx dq : dirtied) {
+    pq_->MarkDirty(dq);
+    in_frontier_[dq] = 0;
+  }
 
   pending_ = false;
   // Drops this session's hold on the shared page. A cache-served page stays

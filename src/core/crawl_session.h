@@ -179,9 +179,12 @@ class CrawlSession {
 
  private:
   /// Removes records from D, updating frequencies / intersections / cover
-  /// counts and dirtying affected queries in `dirtied`.
+  /// counts and adding the affected queries to the frontier `dirtied`.
   void RemoveRecords(const std::vector<table::RecordId>& ids,
                      std::vector<QueryIdx>* dirtied);
+
+  /// Appends `q` to the frontier `dirtied` unless this page already did.
+  void AddToFrontier(QueryIdx q, std::vector<QueryIdx>* dirtied);
 
   /// Returns a parked, unconsumed query to the queue and clears the slot.
   void Unpark();
@@ -208,6 +211,9 @@ class CrawlSession {
   /// Scratch for ProcessPendingPage's dirty frontier, reused across pages
   /// so steady-state page processing allocates nothing per round.
   std::vector<QueryIdx> dirty_frontier_;
+  /// Per pool query: 1 while it is in dirty_frontier_, so the frontier is
+  /// distinct by construction. All zero between pages.
+  std::vector<uint8_t> in_frontier_;
   /// Keys of the records already crawled, so a resumed call reports only
   /// records first crawled in it (keep_crawled_records).
   std::unordered_set<uint64_t> crawled_keys_;

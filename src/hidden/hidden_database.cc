@@ -51,13 +51,10 @@ std::vector<table::RecordId> HiddenDatabase::EvaluateMatches(
     case HiddenDatabaseOptions::Mode::kConjunctive: {
       // A keyword unknown to the engine can match no record.
       if (q.num_unknown > 0 || q.terms.empty()) return {};
-      auto docs = index_.IntersectPostings(q.terms);
-      return {docs.begin(), docs.end()};
+      return index_.IntersectPostings(q.terms);
     }
-    case HiddenDatabaseOptions::Mode::kDisjunctive: {
-      auto docs = index_.UnionPostings(q.terms);
-      return {docs.begin(), docs.end()};
-    }
+    case HiddenDatabaseOptions::Mode::kDisjunctive:
+      return index_.UnionPostings(q.terms);
     case HiddenDatabaseOptions::Mode::kSemiConjunctive: {
       // A record qualifies when it contains at least
       // ceil(fraction * total keywords) of them; unknown keywords count

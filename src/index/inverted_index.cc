@@ -67,34 +67,109 @@ std::span<const uint64_t> InvertedIndex::BitmapOf(text::TermId term) const {
 
 namespace {
 
-/// A query term's posting list together with the term id (the id is needed
-/// to look the bitmap back up after sorting by list size).
-struct ListRef {
+/// One query term's list in a k-way probe: the posting list and term id
+/// (to look the bitmap back up after sorting by list size), then the probe
+/// state filled in once the driving list is known.
+struct ListProbe {
   std::span<const DocIndex> list;
   text::TermId term = 0;
+  std::span<const uint64_t> bitmap;
+  const DocIndex* cursor = nullptr;
 };
 
 }  // namespace
 
+template <typename OnDriver, typename OnHit>
+void InvertedIndex::ProbeIntersection(std::span<const text::TermId> query_terms,
+                                      OnDriver&& on_driver,
+                                      OnHit&& on_hit) const {
+  const size_t n = query_terms.size();
+  // Stack buffer, with a heap fallback only beyond kInlineLists terms, so
+  // IntersectionSize stays allocation-free for every realistic query
+  // (regression-tested in tests/index/set_kernels_test.cc).
+  std::array<ListProbe, kInlineLists> inline_probes;
+  std::vector<ListProbe> heap_probes;
+  ListProbe* probes = inline_probes.data();
+  if (n > kInlineLists) {
+    heap_probes.resize(n);
+    probes = heap_probes.data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    probes[i].list = Postings(query_terms[i]);
+    probes[i].term = query_terms[i];
+  }
+  std::sort(probes, probes + n, [](const ListProbe& x, const ListProbe& y) {
+    return x.list.size() < y.list.size();
+  });
+  const std::span<const DocIndex> driver = probes[0].list;
+  if (driver.empty()) return;
+  for (size_t i = 1; i < n; ++i) {
+    probes[i].bitmap = BitmapOf(probes[i].term);
+    probes[i].cursor = probes[i].list.data();
+    // Tally the probe mechanism chosen for this list once per call.
+    if (!probes[i].bitmap.empty()) {
+      counters_.CountBitmap();
+    } else {
+      counters_.CountGalloping();
+    }
+  }
+  on_driver(driver);
+
+  for (DocIndex x : driver) {
+    bool present = true;
+    for (size_t i = 1; i < n; ++i) {
+      ListProbe& p = probes[i];
+      if (!p.bitmap.empty()) {
+        if (!BitmapTest(p.bitmap, x)) {
+          present = false;
+          break;
+        }
+        continue;
+      }
+      const DocIndex* const end = p.list.data() + p.list.size();
+      p.cursor = internal::GallopLowerBound(p.cursor, end, x);
+      // This list is exhausted below every remaining candidate: done.
+      if (p.cursor == end) return;
+      if (*p.cursor != x) {
+        present = false;
+        break;
+      }
+    }
+    if (present) on_hit(x);
+  }
+}
+
 std::vector<DocIndex> InvertedIndex::IntersectPostings(
     const std::vector<text::TermId>& query_terms) const {
-  if (query_terms.empty()) return {};
-  counters_.CountMaterialized();
-  // Order term lists by length so the running intersection shrinks fastest.
-  std::vector<std::span<const DocIndex>> lists;
-  lists.reserve(query_terms.size());
-  for (text::TermId t : query_terms) lists.push_back(Postings(t));
-  std::sort(lists.begin(), lists.end(),
-            [](const auto& x, const auto& y) { return x.size() < y.size(); });
-  if (lists.front().empty()) return {};
+  std::vector<DocIndex> out;
+  AppendIntersection(query_terms, &out);
+  return out;
+}
 
-  std::vector<DocIndex> cur(lists[0].begin(), lists[0].end());
-  std::vector<DocIndex> tmp;
-  for (size_t i = 1; i < lists.size() && !cur.empty(); ++i) {
-    PairIntersect(cur, lists[i], &tmp, &counters_);
-    std::swap(cur, tmp);
+size_t InvertedIndex::AppendIntersection(
+    std::span<const text::TermId> query_terms,
+    std::vector<DocIndex>* out) const {
+  if (query_terms.empty()) return 0;
+  counters_.CountMaterialized();
+  const size_t before = out->size();
+  if (query_terms.size() == 1) {
+    // Single keyword: the answer is the posting list, copied in one go.
+    const std::span<const DocIndex> list = Postings(query_terms[0]);
+    out->insert(out->end(), list.begin(), list.end());
+    return list.size();
   }
-  return cur;
+  ProbeIntersection(
+      query_terms,
+      [out](std::span<const DocIndex> driver) {
+        // The hits are a subset of the driving list. Growing geometrically
+        // keeps repeated appends into one flat buffer amortized O(1).
+        const size_t need = out->size() + driver.size();
+        if (need > out->capacity()) {
+          out->reserve(std::max(need, 2 * out->capacity()));
+        }
+      },
+      [out](DocIndex d) { out->push_back(d); });
+  return out->size() - before;
 }
 
 size_t InvertedIndex::IntersectionSize(
@@ -102,89 +177,28 @@ size_t InvertedIndex::IntersectionSize(
   const size_t n = query_terms.size();
   if (n == 0) return 0;
   if (n == 1) return Postings(query_terms[0]).size();
-
-  // Gather the lists into a stack buffer (heap fallback only beyond
-  // kInlineLists terms — the count path stays allocation-free for every
-  // realistic query, regression-tested in tests/index/set_kernels_test.cc).
-  std::array<ListRef, kInlineLists> inline_refs;
-  std::vector<ListRef> heap_refs;
-  ListRef* refs = inline_refs.data();
-  if (n > kInlineLists) {
-    heap_refs.resize(n);
-    refs = heap_refs.data();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    refs[i] = ListRef{Postings(query_terms[i]), query_terms[i]};
-  }
-  std::sort(refs, refs + n, [](const ListRef& x, const ListRef& y) {
-    return x.list.size() < y.list.size();
-  });
-  if (refs[0].list.empty()) return 0;
-
   if (n == 2) {
-    const std::span<const uint64_t> wb = BitmapOf(refs[1].term);
-    if (!wb.empty()) {
-      const std::span<const uint64_t> wa = BitmapOf(refs[0].term);
-      // Both dense: word-wise AND/popcount beats any list walk (the
-      // counters-aware overload tallies the probe). Only the larger dense:
-      // O(1) bit probes driven by the smaller list.
-      if (!wa.empty()) return BitmapAndCount(wa, wb, &counters_);
-      counters_.CountBitmap();
-      return BitmapListCount(wb, refs[0].list);
+    // Pair shortcuts only a count can take: word-wise AND/popcount when
+    // both terms are dense, the adaptive merge/gallop when neither is. A
+    // dense larger list with a sparse smaller one is the probe below.
+    text::TermId ta = query_terms[0];
+    text::TermId tb = query_terms[1];
+    std::span<const DocIndex> a = Postings(ta);
+    std::span<const DocIndex> b = Postings(tb);
+    if (a.size() > b.size()) {
+      std::swap(a, b);
+      std::swap(ta, tb);
     }
-    return PairCount(refs[0].list, refs[1].list, &counters_);
-  }
-
-  // k-way count: drive with the smallest list; probe each candidate into
-  // the other lists (bitmap bit test when dense, galloping cursor search
-  // otherwise). Nothing is ever materialized.
-  std::array<const DocIndex*, kInlineLists> inline_cursors;
-  std::vector<const DocIndex*> heap_cursors;
-  const DocIndex** cursors = inline_cursors.data();
-  std::array<std::span<const uint64_t>, kInlineLists> inline_bitmaps;
-  std::vector<std::span<const uint64_t>> heap_bitmaps;
-  std::span<const uint64_t>* bitmaps = inline_bitmaps.data();
-  if (n > kInlineLists) {
-    heap_cursors.resize(n);
-    cursors = heap_cursors.data();
-    heap_bitmaps.resize(n);
-    bitmaps = heap_bitmaps.data();
-  }
-  for (size_t i = 1; i < n; ++i) {
-    cursors[i] = refs[i].list.data();
-    bitmaps[i] = BitmapOf(refs[i].term);
-    // Tally the probe mechanism chosen for this list once per call.
-    if (!bitmaps[i].empty()) {
-      counters_.CountBitmap();
-    } else {
-      counters_.CountGalloping();
+    if (a.empty()) return 0;
+    if (!HasBitmap(tb)) return PairCount(a, b, &counters_);
+    if (HasBitmap(ta)) {
+      return BitmapAndCount(BitmapOf(ta), BitmapOf(tb), &counters_);
     }
   }
-
   size_t count = 0;
-  for (DocIndex x : refs[0].list) {
-    bool present = true;
-    for (size_t i = 1; i < n; ++i) {
-      if (!bitmaps[i].empty()) {
-        if (!BitmapTest(bitmaps[i], x)) {
-          present = false;
-          break;
-        }
-        continue;
-      }
-      const DocIndex* const end = refs[i].list.data() + refs[i].list.size();
-      cursors[i] = internal::GallopLowerBound(cursors[i], end, x);
-      if (cursors[i] == end) {
-        // This list is exhausted below every remaining candidate: done.
-        return count;
-      }
-      if (*cursors[i] != x) {
-        present = false;
-        break;
-      }
-    }
-    count += static_cast<size_t>(present);
-  }
+  ProbeIntersection(
+      query_terms, [](std::span<const DocIndex>) {},
+      [&count](DocIndex) { ++count; });
   return count;
 }
 

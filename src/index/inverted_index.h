@@ -62,15 +62,22 @@ class InvertedIndex {
   bool HasBitmap(text::TermId term) const;
 
   /// All documents containing every term of `query_terms` (sorted term ids;
-  /// duplicates allowed). An empty query matches nothing by convention —
-  /// the keyword interface rejects empty queries.
+  /// duplicates allowed), ascending. An empty query matches nothing by
+  /// convention — the keyword interface rejects empty queries.
   std::vector<DocIndex> IntersectPostings(
       const std::vector<text::TermId>& query_terms) const;
 
-  /// |IntersectPostings(query_terms)| WITHOUT materializing any
-  /// intermediate list: adaptive galloping / merge / bitmap probing over
-  /// the flat postings, short-circuiting on a provably empty result. Never
-  /// allocates for queries of up to kInlineLists terms.
+  /// IntersectPostings appended to `*out` instead of returned: the query
+  /// pool writes every candidate's q(D) into one flat buffer this way.
+  /// Returns the number of documents appended.
+  size_t AppendIntersection(std::span<const text::TermId> query_terms,
+                            std::vector<DocIndex>* out) const;
+
+  /// |IntersectPostings(query_terms)| without materializing anything. Pairs
+  /// take count-only shortcuts (word-wise AND/popcount when both terms are
+  /// dense, merge or gallop when neither is); every other query runs the
+  /// same k-way probe as IntersectPostings. Never allocates for queries of
+  /// up to kInlineLists terms.
   size_t IntersectionSize(const std::vector<text::TermId>& query_terms) const;
 
   /// All documents containing *at least one* term (disjunctive retrieval,
@@ -79,7 +86,8 @@ class InvertedIndex {
   std::vector<DocIndex> UnionPostings(
       const std::vector<text::TermId>& query_terms) const;
 
-  /// Count-only queries with at most this many terms run allocation-free.
+  /// Queries with at most this many terms probe from a stack buffer;
+  /// longer ones take one heap allocation for it.
   static constexpr size_t kInlineLists = 16;
 
   /// Snapshot of the kernel-mix tallies accumulated by this index
@@ -90,6 +98,16 @@ class InvertedIndex {
  private:
   /// Bitmap words of `term`, or an empty span when the term has none.
   std::span<const uint64_t> BitmapOf(text::TermId term) const;
+
+  /// The one conjunctive intersection routine: the shortest list drives and
+  /// each of its documents is probed into the other lists — a bit test
+  /// where the term has a bitmap, a galloping cursor otherwise. Calls
+  /// `on_driver(shortest)` once before probing (a sizing hint) and
+  /// `on_hit(doc)` for every document in all lists, in ascending order.
+  /// Nothing is called when a list is empty. Requires a non-empty query.
+  template <typename OnDriver, typename OnHit>
+  void ProbeIntersection(std::span<const text::TermId> query_terms,
+                         OnDriver&& on_driver, OnHit&& on_hit) const;
 
   static constexpr uint32_t kNoBitmap = 0xffffffffu;
 

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 /// \file set_kernels.h
 /// Adaptive kernels over sorted uint32 sets (posting lists, document term
@@ -32,14 +31,17 @@ inline constexpr size_t kGallopRatio = 32;
 /// Plain snapshot of kernel-mix tallies (order-independent sums, so
 /// parallel construction reports the same values as sequential).
 struct KernelStats {
-  /// Pairwise probes answered by galloping search.
+  /// Lists probed by galloping search: one per pairwise count, or one per
+  /// non-driving list of a k-way probe.
   uint64_t galloping = 0;
-  /// Pairwise probes answered by the linear merge.
+  /// Pairwise counts answered by the linear merge.
   uint64_t merge = 0;
-  /// Probes answered through a dense bitmap (word AND or bit test).
+  /// Probes answered through a dense bitmap (a word AND, or the bit tests
+  /// into one list).
   uint64_t bitmap = 0;
-  /// Calls that materialized an intersection (IntersectPostings); the
-  /// count-only path must never bump this — regression-tested.
+  /// Calls that materialized an intersection (IntersectPostings,
+  /// AppendIntersection); the count-only path must never bump this —
+  /// regression-tested.
   uint64_t materialized = 0;
 
   KernelStats& operator+=(const KernelStats& o) {
@@ -164,37 +166,6 @@ inline size_t PairCount(std::span<const uint32_t> a,
   }
   if (counters != nullptr) counters->CountMerge();
   return MergeCount(a, b);
-}
-
-/// Intersection of sorted `a`, `b` appended into `*out` (cleared first),
-/// kernel chosen like PairCount.
-inline void PairIntersect(std::span<const uint32_t> a,
-                          std::span<const uint32_t> b,
-                          std::vector<uint32_t>* out,
-                          KernelCounters* counters) {
-  out->clear();
-  if (a.size() > b.size()) std::swap(a, b);
-  if (a.size() * kGallopRatio < b.size()) {
-    if (counters != nullptr) counters->CountGalloping();
-    const uint32_t* it = b.data();
-    const uint32_t* const end = b.data() + b.size();
-    for (uint32_t x : a) {
-      it = internal::GallopLowerBound(it, end, x);
-      if (it == end) break;
-      if (*it == x) out->push_back(x);
-    }
-    return;
-  }
-  if (counters != nullptr) counters->CountMerge();
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const uint32_t x = a[i];
-    const uint32_t y = b[j];
-    if (x == y) out->push_back(x);
-    i += static_cast<size_t>(x <= y);
-    j += static_cast<size_t>(y <= x);
-  }
 }
 
 /// popcount(a AND b) over two equally sized word arrays.

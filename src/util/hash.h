@@ -22,10 +22,9 @@ inline uint64_t Mix64(uint64_t z) {
 }
 
 /// Hash combine with full mixing. The boost-style xor-shift combine is NOT
-/// enough here: libstdc++'s std::hash<int> is the identity, and the
-/// query-pool generator deduplicates term sets by hash alone, so weakly
-/// mixed combines collide on realistic inputs (observed on 20k random
-/// short vectors).
+/// enough here: libstdc++'s std::hash<int> is the identity, and callers
+/// look documents up by term-set hash alone, so weakly mixed combines
+/// collide on realistic inputs (observed on 20k random short vectors).
 inline void HashCombine(size_t& seed, size_t v) {
   seed = Mix64(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) +
                        (seed >> 2)));
@@ -41,8 +40,8 @@ inline uint64_t Fnv1a(std::string_view s) {
   return h;
 }
 
-/// Hash of an integral vector; used to bucket queries by their q(D) posting
-/// set during dominance pruning.
+/// Hash of an integral vector; used to look documents up by their term
+/// set (duplicate records, crawled-to-local matches).
 template <typename T>
 size_t HashVector(const std::vector<T>& v) {
   size_t seed = v.size();

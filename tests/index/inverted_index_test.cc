@@ -79,6 +79,15 @@ struct RandomCorpusParams {
   uint64_t seed;
 };
 
+constexpr RandomCorpusParams kRandomCorpora[] = {
+    {10, 5, 4, 1},
+    {100, 20, 8, 2},
+    {500, 50, 12, 3},
+    {1000, 10, 6, 4},   // dense postings
+    {200, 500, 10, 5},  // sparse postings
+    {2000, 150, 8, 6},  // document frequencies straddle num_docs / 32
+};
+
 class InvertedIndexPropertyTest
     : public ::testing::TestWithParam<RandomCorpusParams> {};
 
@@ -102,21 +111,35 @@ TEST_P(InvertedIndexPropertyTest, IntersectionMatchesBruteForce) {
   auto docs = RandomCorpus(p, rng);
   InvertedIndex idx(docs, p.vocab);
 
-  for (int trial = 0; trial < 50; ++trial) {
-    size_t qlen = 1 + rng.UniformIndex(3);
+  size_t heap_path_queries = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    // 1-3 terms, then 4 to 20: past kInlineLists the probe state lives on
+    // the heap.
+    const size_t qlen =
+        trial < 50 ? 1 + rng.UniformIndex(3) : 4 + rng.UniformIndex(17);
     std::vector<TermId> q;
     for (size_t i = 0; i < qlen; ++i) {
       q.push_back(static_cast<TermId>(rng.UniformIndex(p.vocab)));
     }
+    // Explicit duplicates, and ids past the dictionary (no postings).
+    if (trial % 5 == 0) q.push_back(q.front());
+    if (trial % 13 == 0) q.push_back(static_cast<TermId>(p.vocab + trial));
     std::sort(q.begin(), q.end());
-    auto got = idx.IntersectPostings(q);
+    heap_path_queries += q.size() > InvertedIndex::kInlineLists;
+
     std::vector<DocIndex> expect;
     for (size_t d = 0; d < docs.size(); ++d) {
       if (docs[d].ContainsAll(q)) expect.push_back(static_cast<DocIndex>(d));
     }
-    EXPECT_EQ(got, expect) << "trial " << trial;
-    EXPECT_EQ(idx.IntersectionSize(q), expect.size());
+    EXPECT_EQ(idx.IntersectPostings(q), expect) << "trial " << trial;
+    EXPECT_EQ(idx.IntersectionSize(q), expect.size()) << "trial " << trial;
+    // Appending keeps what the buffer already held.
+    std::vector<DocIndex> appended{7, 7};
+    EXPECT_EQ(idx.AppendIntersection(q, &appended), expect.size());
+    expect.insert(expect.begin(), {7, 7});
+    EXPECT_EQ(appended, expect) << "trial " << trial;
   }
+  EXPECT_GT(heap_path_queries, 0u);
 }
 
 TEST_P(InvertedIndexPropertyTest, UnionMatchesBruteForce) {
@@ -142,14 +165,24 @@ TEST_P(InvertedIndexPropertyTest, UnionMatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RandomCorpora, InvertedIndexPropertyTest,
-    ::testing::Values(RandomCorpusParams{10, 5, 4, 1},
-                      RandomCorpusParams{100, 20, 8, 2},
-                      RandomCorpusParams{500, 50, 12, 3},
-                      RandomCorpusParams{1000, 10, 6, 4},   // dense postings
-                      RandomCorpusParams{200, 500, 10, 5}   // sparse postings
-                      ));
+INSTANTIATE_TEST_SUITE_P(RandomCorpora, InvertedIndexPropertyTest,
+                         ::testing::ValuesIn(kRandomCorpora));
+
+/// The property tests must see k-way probes that mix bit tests and
+/// galloping cursors: some corpus gives part of its terms a bitmap and
+/// leaves the rest as lists.
+TEST(InvertedIndexCorporaTest, SomeCorpusMixesBitmapAndListTerms) {
+  size_t mixed = 0;
+  for (const RandomCorpusParams& p : kRandomCorpora) {
+    smartcrawl::Rng rng(p.seed);
+    InvertedIndex idx(RandomCorpus(p, rng), p.vocab);
+    size_t bitmap_terms = 0;
+    for (TermId t = 0; t < p.vocab; ++t) bitmap_terms += idx.HasBitmap(t);
+    mixed += p.num_docs >= kBitmapMinDocs && bitmap_terms > 0 &&
+             bitmap_terms < p.vocab;
+  }
+  EXPECT_GT(mixed, 0u);
+}
 
 TEST(ForwardIndexTest, StoresQueryMembership) {
   CsrBuilder<QueryIdx> b(3);

@@ -75,8 +75,17 @@ TEST(SetKernelsTest, AllKernelsAgreeOnRandomPairs) {
     EXPECT_EQ(MergeCount(a, b), expect) << "trial " << trial;
     EXPECT_EQ(GallopCount(a, b), expect) << "trial " << trial;
     EXPECT_EQ(PairCount(a, b, nullptr), expect) << "trial " << trial;
-    std::vector<uint32_t> out;
-    PairIntersect(a, b, &out, nullptr);
+    // The materializing path over the same pair: term 0 lists `a`, term 1
+    // lists `b`, in a 400-document index.
+    std::vector<Document> docs;
+    for (uint32_t d = 0; d < 400; ++d) {
+      std::vector<TermId> terms;
+      if (std::binary_search(a.begin(), a.end(), d)) terms.push_back(0);
+      if (std::binary_search(b.begin(), b.end(), d)) terms.push_back(1);
+      docs.emplace_back(std::move(terms));
+    }
+    InvertedIndex idx(docs, 2);
+    const std::vector<DocIndex> out = idx.IntersectPostings({0, 1});
     EXPECT_EQ(out.size(), expect) << "trial " << trial;
     EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   }
