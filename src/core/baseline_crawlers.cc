@@ -1,7 +1,6 @@
 #include "core/baseline_crawlers.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 
 #include "text/tokenizer.h"
@@ -128,53 +127,6 @@ Result<CrawlResult> FullCrawl(const sample::HiddenSample& sample,
   }
   result.stopped_early = budget_left > 0;
   return result;
-}
-
-std::string BaselinePolicyName(BaselinePolicy policy) {
-  switch (policy) {
-    case BaselinePolicy::kNaive:
-      return "naive";
-    case BaselinePolicy::kFull:
-      return "full";
-    case BaselinePolicy::kOnlineSample:
-      return "online-sample";
-  }
-  return "unknown";
-}
-
-Result<CrawlResult> RunBaseline(const BaselineRunSpec& spec,
-                                hidden::KeywordSearchInterface* iface,
-                                const table::Table* local,
-                                const sample::HiddenSample* sample) {
-  if (iface == nullptr) {
-    return Status::InvalidArgument("RunBaseline requires a search interface");
-  }
-  std::unique_ptr<net::TransportStack> stack;
-  if (spec.transport.has_value()) {
-    stack = std::make_unique<net::TransportStack>(iface, *spec.transport);
-    iface = stack->top();
-  }
-  switch (spec.policy) {
-    case BaselinePolicy::kNaive:
-      if (local == nullptr) {
-        return Status::InvalidArgument(
-            "baseline 'naive' requires a local table");
-      }
-      return NaiveCrawl(*local, iface, spec.budget, spec.naive);
-    case BaselinePolicy::kFull:
-      if (sample == nullptr) {
-        return Status::InvalidArgument(
-            "baseline 'full' requires a hidden-database sample");
-      }
-      return FullCrawl(*sample, iface, spec.budget, spec.full);
-    case BaselinePolicy::kOnlineSample:
-      if (local == nullptr) {
-        return Status::InvalidArgument(
-            "baseline 'online-sample' requires a local table");
-      }
-      return OnlineSampleCrawl(*local, iface, spec.budget, spec.online);
-  }
-  return Status::InvalidArgument("unknown baseline policy");
 }
 
 }  // namespace smartcrawl::core

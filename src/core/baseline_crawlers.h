@@ -1,14 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/crawl_result.h"
-#include "core/online.h"
 #include "hidden/search_interface.h"
-#include "net/transport_stack.h"
 #include "sample/sampler.h"
 #include "table/table.h"
 #include "util/result.h"
@@ -54,44 +51,5 @@ Result<CrawlResult> FullCrawl(const sample::HiddenSample& sample,
                               hidden::KeywordSearchInterface* iface,
                               size_t budget,
                               const FullCrawlOptions& options = {});
-
-/// Which non-SMARTCRAWL crawler a BaselineRunSpec runs.
-enum class BaselinePolicy {
-  kNaive,         // NAIVECRAWL (needs the local table)
-  kFull,          // FULLCRAWL (needs a hidden-database sample)
-  kOnlineSample,  // sample-then-crawl (needs the local table)
-};
-
-std::string BaselinePolicyName(BaselinePolicy policy);
-
-/// The unified baseline entry point, consistent with the session API
-/// (core::SessionSpec): policy + budget + per-policy options + optional
-/// transport in one value, instead of three drifting positional
-/// signatures. The harness (core::RunArm), the CLI and new callers route
-/// through RunBaseline; the positional functions above remain as the
-/// underlying implementations.
-struct BaselineRunSpec {
-  BaselinePolicy policy = BaselinePolicy::kNaive;
-
-  /// Query budget for the run.
-  size_t budget = 0;
-
-  /// Per-policy options; only the one selected by `policy` is read.
-  NaiveCrawlOptions naive;
-  FullCrawlOptions full;
-  OnlineCrawlOptions online;
-
-  /// When set, a net::TransportStack with these options is layered over
-  /// the interface for the duration of the run.
-  std::optional<net::TransportOptions> transport;
-};
-
-/// Runs the baseline described by `spec` against `iface`. `local` is
-/// required for kNaive/kOnlineSample, `sample` for kFull; the unused one
-/// may be null.
-Result<CrawlResult> RunBaseline(const BaselineRunSpec& spec,
-                                hidden::KeywordSearchInterface* iface,
-                                const table::Table* local = nullptr,
-                                const sample::HiddenSample* sample = nullptr);
 
 }  // namespace smartcrawl::core

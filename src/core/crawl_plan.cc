@@ -9,6 +9,7 @@
 #include "match/similarity_join.h"
 #include "text/token_set.h"
 #include "util/hash.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace smartcrawl::core {
@@ -30,11 +31,10 @@ std::string PolicyName(SelectionPolicy policy) {
 }
 
 /// The one mutating code path of a CrawlPlan: runs the whole build phase
-/// against a freshly allocated plan, then hands it over frozen. Everything
-/// here is a verbatim port of the former SmartCrawler constructor /
-/// InitSampleState / InitIdealState — same parallel grains, same fill
-/// orders, same sequential interning order — so crawls over the split
-/// engine stay bit-identical to the fused one (pinned by the golden suite).
+/// against a freshly allocated plan, then hands it over frozen. The
+/// parallel stages write index-addressed slots and fill every CSR in
+/// ascending order, so a plan is bit-identical at any thread count and
+/// crawls over it match the golden suite.
 class CrawlPlanBuilder {
  public:
   CrawlPlanBuilder(CrawlPlan* plan, const sample::HiddenSample* sample,
@@ -62,6 +62,7 @@ Result<std::unique_ptr<CrawlPlan>> CrawlPlan::Build(
   if (local == nullptr) {
     return Status::InvalidArgument("CrawlPlan requires a local table");
   }
+  SC_RETURN_NOT_OK(local->schema().CheckFieldNames(options.local_text_fields));
   if ((options.policy == SelectionPolicy::kEstBiased ||
        options.policy == SelectionPolicy::kEstUnbiased) &&
       sample == nullptr) {
@@ -128,14 +129,8 @@ void CrawlPlanBuilder::Run(const table::Table* local,
   }
   p_.build_kernel_stats_ = p_.pool_.kernel_stats;
 
-  // ER helper maps.
-  for (const auto& rec : local->records()) {
-    if (rec.entity_id != table::kUnknownEntity) {
-      p_.entity_to_local_.emplace(rec.entity_id, rec.id);
-    }
-    p_.doc_hash_to_local_[HashVector(p_.local_docs_[rec.id].terms())]
-        .push_back(rec.id);
-  }
+  p_.er_index_ =
+      CrawlPlan::BuildErIndex(p_.options_.er.mode, *local, p_.local_docs_);
 
   p_.freq_hs_.assign(p_.pool_.size(), 0);
   p_.inter_.assign(p_.pool_.size(), 0);
@@ -193,35 +188,19 @@ void CrawlPlanBuilder::InitSampleState(util::ThreadPool* thread_pool) {
     }
   };
   switch (p_.options_.er.mode) {
-    case match::ErMode::kEntityOracle: {
-      append_pairs(tp.ParallelChunks(
-          0, sample_->records.size(), kSampleGrain,
-          [&](size_t lo, size_t hi) {
-            std::vector<MatchPair> out;
-            for (size_t s = lo; s < hi; ++s) {
-              const auto& rec = sample_->records.record(s);
-              auto it = p_.entity_to_local_.find(rec.entity_id);
-              if (it != p_.entity_to_local_.end()) {
-                out.emplace_back(it->second, static_cast<uint32_t>(s));
-              }
-            }
-            return out;
-          }));
-      break;
-    }
+    case match::ErMode::kEntityOracle:
     case match::ErMode::kExact: {
       append_pairs(tp.ParallelChunks(
           0, sample_->records.size(), kSampleGrain,
           [&](size_t lo, size_t hi) {
             std::vector<MatchPair> out;
+            std::vector<table::RecordId> resolved;
             for (size_t s = lo; s < hi; ++s) {
-              auto it = p_.doc_hash_to_local_.find(
-                  HashVector(sample_docs_[s].terms()));
-              if (it == p_.doc_hash_to_local_.end()) continue;
-              for (table::RecordId d : it->second) {
-                if (p_.local_docs_[d] == sample_docs_[s]) {
-                  out.emplace_back(d, static_cast<uint32_t>(s));
-                }
+              resolved.clear();
+              p_.ResolveToLocal(sample_->records.record(s), &sample_docs_[s],
+                                &resolved);
+              for (table::RecordId d : resolved) {
+                out.emplace_back(d, static_cast<uint32_t>(s));
               }
             }
             return out;
@@ -285,51 +264,24 @@ void CrawlPlanBuilder::InitSampleState(util::ThreadPool* thread_pool) {
 
 void CrawlPlanBuilder::InitIdealState(util::ThreadPool* thread_pool) {
   assert(oracle_ != nullptr && "kIdeal requires oracle access");
-  util::ThreadPool& tp = *thread_pool;
+  // One task per query: the oracle's exact top-k page, matched against all
+  // of D (an empty removed bitmap) on frozen documents, as sessions match
+  // pages. Writes are index-addressed, so the covers are identical at any
+  // thread count. They are then frozen into a flat forward CSR (record ->
+  // covering queries, ascending q per row — the fill order).
   p_.cover_count_.assign(p_.pool_.size(), 0);
-  // Oracle covers are computed per query, then frozen into a flat forward
-  // CSR (record -> covering queries, ascending q per row — the fill order).
-  //
-  // The per-query work runs in three stages per block of queries: (1) the
-  // oracle top-k fetches, parallel — OracleTopK is read-only; (2) page
-  // document interning, sequential — it mutates the plan dictionary, and
-  // running it in ascending (q, record) order keeps the dictionary
-  // bit-identical to the old fully-sequential loop at any thread count;
-  // (3) page matching via the const MatchPreparedPage, parallel — all
-  // writes index-addressed. Blocks bound the resident page copies to
-  // kIdealBlock queries.
   std::vector<std::vector<table::RecordId>> covered_per_q(p_.pool_.size());
-  const bool need_docs = p_.needs_page_documents();
-  constexpr size_t kIdealBlock = 2048;
   constexpr size_t kIdealGrain = 16;
-  for (size_t block = 0; block < p_.pool_.size(); block += kIdealBlock) {
-    const size_t block_end = std::min(p_.pool_.size(), block + kIdealBlock);
-    std::vector<std::vector<table::Record>> pages(block_end - block);
-    tp.ParallelFor(block, block_end, kIdealGrain, [&](size_t q) {
-      std::vector<table::RecordId> top =
-          oracle_->OracleTopK(p_.pool_.queries[q].keywords);
-      std::vector<table::Record>& page = pages[q - block];
-      page.reserve(top.size());
-      for (table::RecordId id : top) {
-        page.push_back(oracle_->OracleTable().record(id));
-      }
-    });
-    std::vector<std::vector<text::Document>> page_docs(
-        need_docs ? pages.size() : 0);
-    if (need_docs) {
-      for (size_t i = 0; i < pages.size(); ++i) {
-        page_docs[i] = CrawlPlan::BuildPageDocuments(pages[i], &p_.dict_);
-      }
+  thread_pool->ParallelFor(0, p_.pool_.size(), kIdealGrain, [&](size_t q) {
+    std::vector<table::Record> page;
+    for (table::RecordId id :
+         oracle_->OracleTopK(p_.pool_.queries[q].keywords)) {
+      page.push_back(oracle_->OracleTable().record(id));
     }
-    tp.ParallelFor(block, block_end, kIdealGrain, [&](size_t q) {
-      std::vector<table::RecordId> covered = p_.MatchPreparedPage(
-          static_cast<QueryIdx>(q), pages[q - block],
-          need_docs ? &page_docs[q - block] : nullptr,
-          /*removed=*/{});
-      p_.cover_count_[q] = static_cast<uint32_t>(covered.size());
-      covered_per_q[q] = std::move(covered);
-    });
-  }
+    covered_per_q[q] =
+        p_.MatchPage(static_cast<QueryIdx>(q), page, /*removed=*/{});
+    p_.cover_count_[q] = static_cast<uint32_t>(covered_per_q[q].size());
+  });
   index::CsrBuilder<index::QueryIdx> cf(p_.local_->size());
   for (QueryIdx q = 0; q < p_.pool_.size(); ++q) {
     for (table::RecordId d : covered_per_q[q]) cf.ReserveEntry(d);
@@ -339,6 +291,46 @@ void CrawlPlanBuilder::InitIdealState(util::ThreadPool* thread_pool) {
     for (table::RecordId d : covered_per_q[q]) cf.Push(d, q);
   }
   p_.cover_forward_ = index::ForwardIndex(std::move(cf).Build());
+}
+
+CrawlPlan::ErIndex CrawlPlan::BuildErIndex(
+    match::ErMode mode, const table::Table& local,
+    std::span<const text::Document> local_docs) {
+  ErIndex index;
+  switch (mode) {
+    case match::ErMode::kEntityOracle:
+      for (const table::Record& rec : local.records()) {
+        if (rec.entity_id != table::kUnknownEntity) {
+          index.entity_to_local.emplace(rec.entity_id, rec.id);
+        }
+      }
+      break;
+    case match::ErMode::kExact:
+      for (const table::Record& rec : local.records()) {
+        index.doc_hash_to_local[HashVector(local_docs[rec.id].terms())]
+            .push_back(rec.id);
+      }
+      break;
+    case match::ErMode::kJaccard:
+      break;
+  }
+  return index;
+}
+
+void CrawlPlan::ResolveToLocal(const table::Record& rec,
+                               const text::Document* doc,
+                               std::vector<table::RecordId>* out) const {
+  if (options_.er.mode == match::ErMode::kEntityOracle) {
+    auto it = er_index_.entity_to_local.find(rec.entity_id);
+    if (it != er_index_.entity_to_local.end()) out->push_back(it->second);
+    return;
+  }
+  assert(options_.er.mode == match::ErMode::kExact && doc != nullptr);
+  auto it = er_index_.doc_hash_to_local.find(HashVector(doc->terms()));
+  if (it == er_index_.doc_hash_to_local.end()) return;
+  for (table::RecordId d : it->second) {
+    if (local_docs_[d] == *doc) out->push_back(d);
+  }
 }
 
 std::vector<text::Document> CrawlPlan::BuildPageDocuments(
@@ -391,20 +383,12 @@ std::vector<table::RecordId> CrawlPlan::MatchPreparedPage(
   const bool active_only = !removed.empty();
   std::vector<table::RecordId> matched;
   switch (options_.er.mode) {
-    case match::ErMode::kEntityOracle: {
-      for (const auto& rec : page) {
-        auto it = entity_to_local_.find(rec.entity_id);
-        if (it != entity_to_local_.end()) matched.push_back(it->second);
-      }
-      break;
-    }
+    case match::ErMode::kEntityOracle:
     case match::ErMode::kExact: {
-      for (const text::Document& doc : *page_docs) {
-        auto it = doc_hash_to_local_.find(HashVector(doc.terms()));
-        if (it == doc_hash_to_local_.end()) continue;
-        for (table::RecordId d : it->second) {
-          if (local_docs_[d] == doc) matched.push_back(d);
-        }
+      for (size_t i = 0; i < page.size(); ++i) {
+        ResolveToLocal(page[i],
+                       page_docs == nullptr ? nullptr : &(*page_docs)[i],
+                       &matched);
       }
       break;
     }

@@ -109,7 +109,8 @@ class CrawlPlan {
   /// Builds a plan: validates the configuration, then runs the heavy
   /// construction work (documents, query pool, indices, sample matching).
   /// Configuration errors — a missing sample for the kEst* policies, a
-  /// missing oracle for kIdeal, conflicting thread knobs — surface here,
+  /// missing oracle for kIdeal, a local text field the table lacks,
+  /// conflicting thread knobs — surface here,
   /// at the call site, before any heavy work happens.
   ///
   /// \param local the local database D (must outlive the plan)
@@ -132,7 +133,7 @@ class CrawlPlan {
   /// Loads a plan from a snapshot written by Serialize. Flat artifacts
   /// (CSR indexes, freq/inter/delta arrays) become zero-copy borrowed
   /// views into the mapping; object state (dictionary, documents, query
-  /// keywords, the local table, ER maps) is materialized from the
+  /// keywords, the local table, the ER index) is materialized from the
   /// snapshot's string/term arenas. The loaded plan owns its local table
   /// copy and keeps the mapping alive; crawls over it are bit-identical
   /// to crawls over the freshly built plan (pinned by the golden suite).
@@ -225,8 +226,10 @@ class CrawlPlan {
 
   /// Interns one document per page record (its fields tokenized in order,
   /// text::Document::FromFields) into `dict`. Matches exactly like
-  /// FrozenPageDocuments, which sessions use; this dictionary-mutating form
-  /// remains for callers that keep their own growing dictionary.
+  /// FrozenPageDocuments, which the library uses everywhere (sessions, the
+  /// page memo and the kIdeal cover pass); no library code calls this
+  /// dictionary-mutating form. It remains for callers that keep their own
+  /// growing dictionary, such as a test reference or a benchmark replay.
   static std::vector<text::Document> BuildPageDocuments(
       const std::vector<table::Record>& page, text::TermDictionary* dict);
 
@@ -297,9 +300,26 @@ class CrawlPlan {
   index::ForwardIndex cover_forward_;
   index::FlatArray<uint32_t> cover_count_;
 
-  // Entity-resolution helpers.
-  std::unordered_map<table::EntityId, table::RecordId> entity_to_local_;
-  std::unordered_map<size_t, std::vector<table::RecordId>> doc_hash_to_local_;
+  // The entity-resolution index: only the map the ER mode reads is filled
+  // (entity ids for kEntityOracle, document hashes for kExact); kJaccard
+  // reads local_docs_ through the postings and fills neither.
+  struct ErIndex {
+    std::unordered_map<table::EntityId, table::RecordId> entity_to_local;
+    std::unordered_map<size_t, std::vector<table::RecordId>> doc_hash_to_local;
+  };
+  ErIndex er_index_;
+
+  /// The one builder of er_index_, called by Build and LoadSnapshot once
+  /// the local table and its documents are in place.
+  static ErIndex BuildErIndex(match::ErMode mode, const table::Table& local,
+                              std::span<const text::Document> local_docs);
+
+  /// The one kEntityOracle / kExact resolver: appends to `out` the local
+  /// records that `rec` resolves to, in er_index_ order. `doc` is rec's
+  /// document over dict(); the entity oracle never reads it, so it may be
+  /// null in that mode. Sample match and page match both call it.
+  void ResolveToLocal(const table::Record& rec, const text::Document* doc,
+                      std::vector<table::RecordId>* out) const;
 
   // Snapshot-loaded plans own their reconstructed local table (local_
   // points at it) and keep the mapped file region alive for the borrowed

@@ -25,10 +25,10 @@
 ///    cover_count, local_frequency) — are written as raw element bytes
 ///    and loaded back as zero-copy borrowed views into the mapping.
 ///  * OBJECT state — dictionary strings, documents, query terms/keywords,
-///    the local table, the ER maps — is written as offset+byte arenas and
-///    materialized at load (keywords and ER maps are re-derived, not
-///    stored: keywords are dict lookups of the query terms in order, the
-///    maps are the same record scan the builder runs).
+///    the local table — is written as offset+byte arenas and materialized
+///    at load. Keywords and the ER index are re-derived, not stored:
+///    keywords are dict lookups of the query terms in order, and the ER
+///    index comes from CrawlPlan::BuildErIndex, as in the builder.
 /// Load cost is O(file size + object state), with no mining, matching or
 /// joining — the part of Build() worth paying only once.
 
@@ -490,27 +490,51 @@ Result<std::unique_ptr<CrawlPlan>> CrawlPlanSnapshotIo::Load(
   SC_RETURN_NOT_OK(load_flat32(kSecCoverCount, num_queries,
                                /*allow_empty=*/true, &p.cover_count_));
 
-  // Posting entries index records; validate once so sessions can index
-  // unchecked (the builder guarantees this by construction).
+  // Validate once what sessions rely on unchecked: every posting, forward
+  // and cover entry is in range, and the counters a session decrements
+  // equal the entries it decrements them for (the builder guarantees both
+  // by construction). For each query q: local_frequency[q] is the size of
+  // its postings row and its count in the forward index, inter[q] is the
+  // sum of its forward_dec entries, and cover_count[q] is its count in the
+  // cover index. Then a session's RemoveRecords can never underflow them.
   for (index::DocIndex d : p.pool_.local_postings.values()) {
     if (d >= num_records) return ShapeError("posting record out of range");
   }
-  for (index::QueryIdx q : p.forward_.values()) {
-    if (q >= num_queries) return ShapeError("forward query out of range");
+  // Read the borrowed arrays through const spans: FlatArray's non-const
+  // operator[] addresses owned storage, which a loaded plan does not have.
+  std::span<const index::QueryIdx> fwd = p.forward_.values();
+  std::span<const uint32_t> forward_dec = p.forward_dec_.span();
+  std::span<const uint32_t> inter = p.inter_.span();
+  std::span<const uint32_t> cover_count = p.cover_count_.span();
+  std::vector<uint32_t> forward_count(num_queries, 0);
+  std::vector<uint64_t> dec_sum(num_queries, 0);
+  for (size_t i = 0; i < fwd.size(); ++i) {
+    if (fwd[i] >= num_queries) return ShapeError("forward query out of range");
+    ++forward_count[fwd[i]];
+    if (!forward_dec.empty()) dec_sum[fwd[i]] += forward_dec[i];
   }
+  std::vector<uint32_t> cover_seen(num_queries, 0);
   for (index::QueryIdx q : p.cover_forward_.values()) {
     if (q >= num_queries) return ShapeError("cover query out of range");
+    ++cover_seen[q];
+  }
+  for (size_t q = 0; q < num_queries; ++q) {
+    if (p.pool_.local_postings[q].size() != local_frequency[q]) {
+      return ShapeError("local_frequency vs postings row");
+    }
+    if (forward_count[q] != local_frequency[q]) {
+      return ShapeError("local_frequency vs forward index");
+    }
+    if (dec_sum[q] != inter[q]) {
+      return ShapeError("inter vs forward_dec");
+    }
+    if (cover_seen[q] != (cover_count.empty() ? 0 : cover_count[q])) {
+      return ShapeError("cover_count vs cover index");
+    }
   }
 
-  // ER helper maps: the same record scan CrawlPlanBuilder::Run performs,
-  // over identical inputs — identical maps.
-  for (const table::Record& rec : p.local_->records()) {
-    if (rec.entity_id != table::kUnknownEntity) {
-      p.entity_to_local_.emplace(rec.entity_id, rec.id);
-    }
-    p.doc_hash_to_local_[HashVector(p.local_docs_[rec.id].terms())]
-        .push_back(rec.id);
-  }
+  p.er_index_ =
+      CrawlPlan::BuildErIndex(p.options_.er.mode, *p.local_, p.local_docs_);
 
   // Keep the mapping alive for every borrowed view installed above.
   p.snapshot_region_ = reader.region();

@@ -104,9 +104,9 @@ void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
   // Pure index-addressed arithmetic: the forward row gives the fan-out,
   // the value-aligned forward_dec gives each inter_[q] delta precomputed
   // at plan build — no ContainsAll re-evaluation per (record × query ×
-  // match). The subtraction saturates like the old guarded decrement did;
-  // in practice forward_dec[i] <= inter_[q] whenever d is still active
-  // (d's own contribution is part of the sum).
+  // match). Each counter starts as the sum over its query's entries (the
+  // builder computes it so; LoadSnapshot rejects a plan where it is not),
+  // and each record is removed once, so no decrement can underflow.
   std::span<const uint32_t> forward_dec = plan_->forward_dec();
   const bool have_dec = !forward_dec.empty();
   const index::ForwardIndex& forward = plan_->forward();
@@ -118,17 +118,19 @@ void CrawlSession::RemoveRecords(const std::vector<table::RecordId>& ids,
     auto [lo, hi] = forward.RowBounds(d);
     for (size_t i = lo; i < hi; ++i) {
       const index::QueryIdx q = fwd[i];
+      assert(freq_d_[q] > 0);
       --freq_d_[q];
       if (have_dec) {
-        const uint32_t dec = std::min(forward_dec[i], inter_[q]);
-        inter_[q] -= dec;
-        delta_decrements_total_ += dec;
+        assert(forward_dec[i] <= inter_[q]);
+        inter_[q] -= forward_dec[i];
+        delta_decrements_total_ += forward_dec[i];
       }
       AddToFrontier(q, dirtied);
     }
     if (!cover_count_.empty()) {
       for (index::QueryIdx q : plan_->cover_forward().Queries(d)) {
-        if (cover_count_[q] > 0) --cover_count_[q];
+        assert(cover_count_[q] > 0);
+        --cover_count_[q];
         AddToFrontier(q, dirtied);
       }
     }

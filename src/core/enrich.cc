@@ -6,6 +6,7 @@
 #include "text/dictionary.h"
 #include "text/document.h"
 #include "util/hash.h"
+#include "util/status.h"
 
 namespace smartcrawl::core {
 
@@ -15,6 +16,7 @@ Result<EnrichmentOutcome> EnrichTable(
   if (spec.import_fields.empty()) {
     return Status::InvalidArgument("no import fields specified");
   }
+  SC_RETURN_NOT_OK(local.schema().CheckFieldNames(spec.local_match_fields));
   if (spec.er.mode == match::ErMode::kJaccard &&
       !match::IsValidJaccardThreshold(spec.er.jaccard_threshold)) {
     return Status::InvalidArgument(

@@ -78,36 +78,29 @@ Result<ArmOutcome> RunArm(Arm arm, const datagen::Scenario& scenario,
   CrawlResult crawl;
   switch (arm) {
     case Arm::kSmartCrawlOnline: {
-      BaselineRunSpec spec;
-      spec.policy = BaselinePolicy::kOnlineSample;
-      spec.budget = config.budget;
-      spec.online.smart = config.smart;
-      spec.online.smart.policy = SelectionPolicy::kEstBiased;
-      spec.online.smart.local_text_fields = scenario.local_text_fields;
-      spec.online.seed = config.seed ^ 0x0e11ULL;
-      SC_ASSIGN_OR_RETURN(crawl,
-                          RunBaseline(spec, &iface, &scenario.local));
+      OnlineCrawlOptions online;
+      online.smart = config.smart;
+      online.smart.policy = SelectionPolicy::kEstBiased;
+      online.smart.local_text_fields = scenario.local_text_fields;
+      online.seed = config.seed ^ 0x0e11ULL;
+      SC_ASSIGN_OR_RETURN(crawl, OnlineSampleCrawl(scenario.local, &iface,
+                                                   config.budget, online));
       break;
     }
     case Arm::kNaiveCrawl: {
-      BaselineRunSpec spec;
-      spec.policy = BaselinePolicy::kNaive;
-      spec.budget = config.budget;
-      spec.naive.query_fields = scenario.local_text_fields;
-      spec.naive.seed = config.seed ^ 0xabcdULL;
-      SC_ASSIGN_OR_RETURN(crawl,
-                          RunBaseline(spec, &iface, &scenario.local));
+      NaiveCrawlOptions naive;
+      naive.query_fields = scenario.local_text_fields;
+      naive.seed = config.seed ^ 0xabcdULL;
+      SC_ASSIGN_OR_RETURN(
+          crawl, NaiveCrawl(scenario.local, &iface, config.budget, naive));
       break;
     }
     case Arm::kFullCrawl: {
       if (full_sample == nullptr) {
         return Status::InvalidArgument("FullCrawl arm needs a sample");
       }
-      BaselineRunSpec spec;
-      spec.policy = BaselinePolicy::kFull;
-      spec.budget = config.budget;
-      SC_ASSIGN_OR_RETURN(
-          crawl, RunBaseline(spec, &iface, /*local=*/nullptr, full_sample));
+      SC_ASSIGN_OR_RETURN(crawl,
+                          FullCrawl(*full_sample, &iface, config.budget));
       break;
     }
     default: {

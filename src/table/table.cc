@@ -15,6 +15,15 @@ std::optional<size_t> Schema::FieldIndex(const std::string& name) const {
   return std::nullopt;
 }
 
+Status Schema::CheckFieldNames(const std::vector<std::string>& names) const {
+  for (const std::string& name : names) {
+    if (!FieldIndex(name).has_value()) {
+      return Status::InvalidArgument("unknown field: " + name);
+    }
+  }
+  return Status::OK();
+}
+
 Result<RecordId> Table::Append(std::vector<std::string> fields,
                                EntityId entity_id) {
   if (fields.size() != schema_.num_fields()) {
@@ -66,8 +75,6 @@ std::vector<text::Document> Table::BuildDocuments(
       textv = ConcatenatedText(rec.id);
     } else {
       auto r = ConcatenatedText(rec.id, field_names);
-      // Unknown field names are a programming error in this internal path;
-      // surface them loudly rather than silently producing empty docs.
       textv = r.ok() ? std::move(r).value() : std::string();
     }
     docs.push_back(text::Document::FromText(textv, dict, options));

@@ -41,6 +41,11 @@ struct Schema {
 
   /// Index of a named field, if present.
   std::optional<size_t> FieldIndex(const std::string& name) const;
+
+  /// OK when every name is a field of this schema; otherwise
+  /// InvalidArgument naming the first unknown one.
+  Status CheckFieldNames(const std::vector<std::string>& names) const;
+
   size_t num_fields() const { return field_names.size(); }
 };
 
@@ -72,7 +77,9 @@ class Table {
       RecordId id, const std::vector<std::string>& field_names) const;
 
   /// Builds the Document of every record through `dict` (interning).
-  /// If `field_names` is empty, all attributes are used.
+  /// If `field_names` is empty, all attributes are used. An unknown name
+  /// yields empty documents, so entry points that take field names from
+  /// their caller check them first (Schema::CheckFieldNames).
   std::vector<text::Document> BuildDocuments(
       text::TermDictionary& dict,
       const std::vector<std::string>& field_names = {},

@@ -111,6 +111,25 @@ TEST(EnrichTest, ExactModeMatchesIdenticalTokenSets) {
   EXPECT_EQ(out->enriched.record(0).fields[1], "noodle HOUSE thai");
 }
 
+TEST(EnrichTest, RejectsUnknownLocalMatchField) {
+  for (match::ErMode er :
+       {match::ErMode::kEntityOracle, match::ErMode::kExact,
+        match::ErMode::kJaccard}) {
+    EnrichmentSpec spec;
+    spec.er.mode = er;
+    spec.import_fields = {{1, "rating"}};
+    // A misspelt field used to match against empty documents and enrich
+    // nothing.
+    spec.local_match_fields = {"nmae"};
+    auto out = EnrichTable(LocalRestaurants(), Crawled(), spec);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().ToString().find("nmae"), std::string::npos);
+    spec.local_match_fields = {"name"};
+    EXPECT_TRUE(EnrichTable(LocalRestaurants(), Crawled(), spec).ok());
+  }
+}
+
 TEST(EnrichTest, RejectsEmptyImportList) {
   auto out = EnrichTable(LocalRestaurants(), Crawled(), EnrichmentSpec{});
   EXPECT_FALSE(out.ok());

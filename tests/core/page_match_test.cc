@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,8 @@
 ///  3. Documents the memo builds from its per-record token cache equal
 ///     FrozenPageDocuments, across plans, page variants and a record id
 ///     reused with new content.
+///  4. The kIdeal cover pass, which matches oracle pages on frozen
+///     documents, equals a reference that interns each page instead.
 namespace smartcrawl::core {
 namespace {
 
@@ -447,6 +450,57 @@ TEST(PageMatchTest, ConcurrentMatchesAgreeWithDirectMatch) {
   // miss however the calls interleave.
   EXPECT_EQ(stats.record_token_misses, DistinctRecords(pages).size());
   EXPECT_GT(stats.record_token_hits, 0u);
+}
+
+TEST(PageMatchTest, OracleCoversEqualAnInterningReference) {
+  auto s = BuildScenario();
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  for (match::ErMode er : kAllErModes) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("er=" + std::to_string(static_cast<int>(er)) +
+                   " threads=" + std::to_string(threads));
+      SmartCrawlOptions opt;
+      opt.policy = SelectionPolicy::kIdeal;
+      // Every field (an empty list), as oracle pages carry them all, so
+      // the exact mode has covers to compare too.
+      opt.local_text_fields = {};
+      opt.er.mode = er;
+      opt.er.jaccard_threshold = 0.6;
+      opt.num_threads = threads;
+      auto built = CrawlPlan::Build(&s->local, opt, nullptr, s->hidden.get());
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const CrawlPlan& plan = **built;
+      ASSERT_EQ(plan.initial_cover_count().size(), plan.pool().size());
+      ASSERT_EQ(plan.cover_forward().num_records(), plan.num_records());
+
+      // Reference: each query's exact top-k page, interned in ascending q
+      // into one growing copy of the plan dictionary, matched against all
+      // of D.
+      text::TermDictionary dict = plan.dict();
+      std::vector<std::vector<QueryIdx>> want_rows(plan.num_records());
+      size_t covers = 0;
+      for (QueryIdx q = 0; q < plan.pool().size(); ++q) {
+        std::vector<table::Record> page;
+        for (table::RecordId id :
+             s->hidden->OracleTopK(plan.pool().queries[q].keywords)) {
+          page.push_back(s->hidden->OracleTable().record(id));
+        }
+        const std::vector<text::Document> docs =
+            CrawlPlan::BuildPageDocuments(page, &dict);
+        const std::vector<table::RecordId> covered =
+            plan.MatchPreparedPage(q, page, &docs, /*removed=*/{});
+        EXPECT_EQ(plan.initial_cover_count()[q], covered.size()) << q;
+        for (table::RecordId d : covered) want_rows[d].push_back(q);
+        covers += covered.size();
+      }
+      EXPECT_GT(covers, 0u);  // the comparison is not vacuous
+      for (table::RecordId d = 0; d < plan.num_records(); ++d) {
+        std::span<const QueryIdx> row = plan.cover_forward().Queries(d);
+        EXPECT_EQ(std::vector<QueryIdx>(row.begin(), row.end()), want_rows[d])
+            << d;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -271,6 +271,26 @@ TEST(SmartCrawlerTest, PlanRejectsJaccardThresholdOutsideUnitInterval) {
   EXPECT_TRUE(build(match::ErConfig{match::ErMode::kExact, 0.0}).ok());
 }
 
+TEST(SmartCrawlerTest, PlanRejectsUnknownLocalTextField) {
+  table::Table local(table::Schema{{"name", "city"}});
+  ASSERT_TRUE(local.Append({"Thai Noodle House", "Phoenix"}, 1).ok());
+  ASSERT_TRUE(local.Append({"Steak House", "Tempe"}, 2).ok());
+  auto build = [&](std::vector<std::string> fields) {
+    SmartCrawlOptions opt = Opts(SelectionPolicy::kSimple);
+    opt.local_text_fields = std::move(fields);
+    return CrawlPlan::Build(&local, std::move(opt));
+  };
+  // A misspelt field used to tokenize to empty documents and an empty
+  // query pool.
+  auto bad = build({"name", "ctiy"});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().ToString().find("ctiy"), std::string::npos);
+  auto good = build({"name", "city"});
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_GT((*good)->pool().size(), 0u);
+}
+
 TEST(SmartCrawlerTest, DeterministicAcrossRuns) {
   auto cfg = SmallConfig(23, 50);
   auto s1 = datagen::BuildDblpScenario(cfg);

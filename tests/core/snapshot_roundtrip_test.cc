@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,9 +17,10 @@
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
 #include "util/hash.h"
+#include "util/result.h"
 
-/// Snapshot round-trip suite. Every test name starts with "Snapshot" so CI
-/// can run exactly this suite with --gtest_filter='Snapshot*'.
+/// Snapshot round-trip suite. Every test name starts with "Snapshot", so
+/// --gtest_filter='Snapshot*' runs exactly this suite.
 ///
 /// Two layers:
 ///   * format layer (SnapshotFormat*): SnapshotWriter/SnapshotReader
@@ -92,6 +94,37 @@ std::string ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Plan section ids of the u32-per-query counters (the SectionId enum in
+/// src/core/crawl_plan_snapshot.cc).
+constexpr uint32_t kLocalFrequencySection = 13;
+constexpr uint32_t kInterSection = 20;
+constexpr uint32_t kCoverCountSection = 27;
+
+/// Copies snapshot `in` to `out` section by section, adding `delta` to
+/// element 0 of the u32 section `id`. Every checksum is sealed afresh, so
+/// only the plan loader's own checks can reject the copy.
+Status CopyWithBumpedCounter(const std::string& in, const std::string& out,
+                             uint32_t id, uint32_t delta) {
+  SC_ASSIGN_OR_RETURN(snapshot::SnapshotReader reader,
+                      snapshot::SnapshotReader::Open(in));
+  SC_ASSIGN_OR_RETURN(std::span<const uint32_t> counter,
+                      reader.Typed<uint32_t>(id));
+  if (counter.empty()) return Status::InvalidArgument("empty counter");
+  std::vector<uint32_t> bumped(counter.begin(), counter.end());
+  bumped[0] += delta;
+  snapshot::SnapshotWriter writer;
+  for (uint32_t sec = 1; sec < 64; ++sec) {
+    if (sec == id) {
+      writer.AddTyped<uint32_t>(sec, bumped);
+    } else if (reader.Has(sec)) {
+      SC_ASSIGN_OR_RETURN(std::span<const std::byte> bytes,
+                          reader.SectionBytes(sec));
+      writer.AddBytes(sec, bytes);
+    }
+  }
+  return writer.WriteFile(out, reader.build_fingerprint());
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +402,51 @@ TEST(SnapshotPlan, SerializationIsDeterministicAndLossless) {
   ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
   ASSERT_TRUE((*plan_or)->Serialize(dir + "sc_c.snap").ok());
   EXPECT_EQ(a, ReadFileBytes(dir + "sc_c.snap"));
+}
+
+/// A counter a session decrements must equal the index entries it is
+/// decremented for. A snapshot whose counter disagrees by one is rejected
+/// at load instead of letting a session underflow it.
+TEST(SnapshotPlan, RejectsCountersThatDisagreeWithTheirIndexes) {
+  auto s = datagen::BuildDblpScenario(GoldenScenario());
+  ASSERT_TRUE(s.ok());
+  auto sample = sample::BernoulliSample(*s->hidden, 0.025, 13);
+  const std::string dir = ::testing::TempDir();
+  struct Case {
+    SelectionPolicy policy;
+    uint32_t section;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{SelectionPolicy::kEstBiased, kInterSection, "inter"},
+        Case{SelectionPolicy::kEstBiased, kLocalFrequencySection,
+             "local_frequency"},
+        Case{SelectionPolicy::kIdeal, kCoverCountSection, "cover_count"}}) {
+    SCOPED_TRACE(c.error);
+    SmartCrawlOptions opt;
+    opt.policy = c.policy;
+    opt.local_text_fields = s->local_text_fields;
+    opt.er.mode = match::ErMode::kJaccard;
+    opt.er.jaccard_threshold = 0.6;
+    const hidden::HiddenDatabase* oracle =
+        c.policy == SelectionPolicy::kIdeal ? s->hidden.get() : nullptr;
+    auto plan = CrawlPlan::Build(&s->local, opt, &sample, oracle);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::string path = dir + "sc_counters.snap";
+    const std::string copy = dir + "sc_counters_copy.snap";
+    ASSERT_TRUE((*plan)->Serialize(path).ok());
+
+    // The copy itself is faithful: unbumped, it loads.
+    ASSERT_TRUE(CopyWithBumpedCounter(path, copy, c.section, 0).ok());
+    EXPECT_TRUE(CrawlPlan::LoadSnapshot(copy).ok());
+
+    ASSERT_TRUE(CopyWithBumpedCounter(path, copy, c.section, 1).ok());
+    auto loaded = CrawlPlan::LoadSnapshot(copy);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(loaded.status().ToString().find(c.error), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 /// Thread count is a performance knob, not a build parameter: a snapshot

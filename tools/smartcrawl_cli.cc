@@ -190,12 +190,11 @@ int Run(const CliConfig& cfg) {
   hidden::KeywordSearchInterface& iface = *stack.top();
   core::CrawlResult crawl;
   if (cfg.policy == "naive") {
-    core::BaselineRunSpec spec;
-    spec.policy = core::BaselinePolicy::kNaive;
-    spec.budget = static_cast<size_t>(cfg.budget);
-    spec.naive.seed = static_cast<uint64_t>(cfg.seed);
-    spec.naive.keep_crawled_records = true;
-    auto r = core::RunBaseline(spec, &iface, &local);
+    core::NaiveCrawlOptions naive;
+    naive.seed = static_cast<uint64_t>(cfg.seed);
+    naive.keep_crawled_records = true;
+    auto r = core::NaiveCrawl(local, &iface, static_cast<size_t>(cfg.budget),
+                              naive);
     if (!r.ok()) {
       std::fprintf(stderr, "crawl: %s\n", r.status().ToString().c_str());
       return 1;
@@ -218,12 +217,11 @@ int Run(const CliConfig& cfg) {
         opt.policy == core::SelectionPolicy::kEstBiased ||
         opt.policy == core::SelectionPolicy::kEstUnbiased;
     if (needs_sample && cfg.online_sample) {
-      core::BaselineRunSpec spec;
-      spec.policy = core::BaselinePolicy::kOnlineSample;
-      spec.budget = static_cast<size_t>(cfg.budget);
-      spec.online.smart = std::move(opt);
-      spec.online.seed = static_cast<uint64_t>(cfg.seed);
-      auto r = core::RunBaseline(spec, &iface, &local);
+      core::OnlineCrawlOptions online;
+      online.smart = std::move(opt);
+      online.seed = static_cast<uint64_t>(cfg.seed);
+      auto r = core::OnlineSampleCrawl(
+          local, &iface, static_cast<size_t>(cfg.budget), online);
       if (!r.ok()) {
         std::fprintf(stderr, "crawl: %s\n", r.status().ToString().c_str());
         return 1;
