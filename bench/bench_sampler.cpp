@@ -21,10 +21,9 @@ namespace {
 
 std::vector<std::string> KeywordPool(const table::Table& t) {
   std::unordered_set<std::string> kw;
-  text::TokenizerOptions tok;
   for (const auto& rec : t.records()) {
     for (size_t f = 0; f < rec.fields.size(); ++f) {
-      for (auto& w : text::Tokenize(rec.fields[f], tok)) kw.insert(w);
+      for (auto& w : text::Tokenize(rec.fields[f])) kw.insert(w);
     }
   }
   std::vector<std::string> out(kw.begin(), kw.end());

@@ -46,10 +46,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> pool;
   {
     std::unordered_set<std::string> kw;
-    text::TokenizerOptions tok;
     for (const auto& rec : s.local.records()) {
       for (size_t f = 0; f < rec.fields.size(); ++f) {
-        for (auto& w : text::Tokenize(rec.fields[f], tok)) kw.insert(w);
+        for (auto& w : text::Tokenize(rec.fields[f])) kw.insert(w);
       }
     }
     pool.assign(kw.begin(), kw.end());

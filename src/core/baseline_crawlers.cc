@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "text/tokenizer.h"
 #include "util/random.h"
 
 namespace smartcrawl::core {
 
-namespace {
-
 void LogPage(CrawlResult* result, std::string query,
              const std::vector<table::Record>& page, bool keep_records,
-             std::unordered_map<uint64_t, size_t>* crawled_keys) {
+             std::unordered_set<uint64_t>* crawled_keys) {
   IterationLog log;
   log.query = std::move(query);
   log.page_size = static_cast<uint32_t>(page.size());
@@ -21,24 +20,19 @@ void LogPage(CrawlResult* result, std::string query,
   result->iterations.push_back(std::move(log));
   if (keep_records) {
     for (const auto& rec : page) {
-      uint64_t key = rec.entity_id != table::kUnknownEntity
-                         ? rec.entity_id
-                         : static_cast<uint64_t>(rec.id);
-      if (crawled_keys->emplace(key, result->crawled_records.size()).second) {
+      if (crawled_keys->insert(table::DedupKey(rec)).second) {
         result->crawled_records.push_back(rec);
       }
     }
   }
 }
 
-}  // namespace
-
 Result<CrawlResult> NaiveCrawl(const table::Table& local,
                                hidden::KeywordSearchInterface* iface,
                                size_t budget,
                                const NaiveCrawlOptions& options) {
   CrawlResult result;
-  std::unordered_map<uint64_t, size_t> crawled_keys;
+  std::unordered_set<uint64_t> crawled_keys;
 
   std::vector<size_t> order(local.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -80,19 +74,14 @@ Result<CrawlResult> FullCrawl(const sample::HiddenSample& sample,
                               hidden::KeywordSearchInterface* iface,
                               size_t budget,
                               const FullCrawlOptions& options) {
-  if (options.keywords_per_query != 1) {
-    return Status::InvalidArgument(
-        "FullCrawl currently supports single-keyword queries only");
-  }
   CrawlResult result;
-  std::unordered_map<uint64_t, size_t> crawled_keys;
+  std::unordered_set<uint64_t> crawled_keys;
 
   // Keyword frequencies within the sample.
   std::unordered_map<std::string, uint32_t> freq;
-  text::TokenizerOptions tok;
   for (const auto& rec : sample.records.records()) {
     std::string textv = sample.records.ConcatenatedText(rec.id);
-    std::vector<std::string> tokens = text::Tokenize(textv, tok);
+    std::vector<std::string> tokens = text::Tokenize(textv);
     std::sort(tokens.begin(), tokens.end());
     tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
     for (auto& t : tokens) ++freq[t];

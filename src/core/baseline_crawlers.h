@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/crawl_result.h"
@@ -24,6 +25,16 @@
 
 namespace smartcrawl::core {
 
+/// Appends `page`, returned for `query`, to `result` as one IterationLog
+/// (with no estimated benefit). With `keep_records`, also appends each
+/// record whose table::DedupKey is not yet in `crawled_keys` to
+/// result->crawled_records and adds the key. Shared by the crawlers that
+/// issue their own queries (the baselines and OnlineSampleCrawl's sampling
+/// phase).
+void LogPage(CrawlResult* result, std::string query,
+             const std::vector<table::Record>& page, bool keep_records,
+             std::unordered_set<uint64_t>* crawled_keys);
+
 struct NaiveCrawlOptions {
   /// Fields concatenated into each record's query (empty = all).
   std::vector<std::string> query_fields;
@@ -39,14 +50,12 @@ Result<CrawlResult> NaiveCrawl(const table::Table& local,
                                const NaiveCrawlOptions& options = {});
 
 struct FullCrawlOptions {
-  /// Maximum keywords per query (1 reproduces the paper's single-keyword
-  /// frequency-ordered pool).
-  size_t keywords_per_query = 1;
   bool keep_crawled_records = false;
 };
 
-/// Runs FULLCRAWL: issues the sample's keywords in decreasing sample
-/// frequency until the budget is exhausted or the pool runs dry.
+/// Runs FULLCRAWL: issues the sample's single keywords (the paper's
+/// frequency-ordered pool) in decreasing sample frequency until the budget
+/// is exhausted or the pool runs dry.
 Result<CrawlResult> FullCrawl(const sample::HiddenSample& sample,
                               hidden::KeywordSearchInterface* iface,
                               size_t budget,

@@ -169,8 +169,9 @@ void CrawlPlanBuilder::InitSampleState(util::ThreadPool* thread_pool) {
   // Reads are shared, writes are index-addressed, so the parallel loop is
   // bit-identical to the sequential one.
   index::InvertedIndex sample_index(sample_docs_, p_.dict_.size());
+  std::span<uint32_t> freq_hs = p_.freq_hs_.mutable_span();
   tp.ParallelFor(0, p_.pool_.size(), kQueryGrain, [&](size_t q) {
-    p_.freq_hs_[q] = static_cast<uint32_t>(
+    freq_hs[q] = static_cast<uint32_t>(
         sample_index.IntersectionSize(p_.pool_.queries[q].terms));
   });
 
@@ -238,6 +239,7 @@ void CrawlPlanBuilder::InitSampleState(util::ThreadPool* thread_pool) {
   // index-addressed, so the parallel loop is bit-identical to sequential.
   constexpr size_t kRecordGrain = 512;
   p_.forward_dec_.assign(p_.forward_.TotalEntries(), 0);
+  std::span<uint32_t> forward_dec = p_.forward_dec_.mutable_span();
   std::span<const index::QueryIdx> fwd = p_.forward_.values();
   tp.ParallelFor(0, p_.local_->size(), kRecordGrain, [&](size_t d) {
     std::span<const uint32_t> matches = p_.record_sample_matches_[d];
@@ -249,14 +251,15 @@ void CrawlPlanBuilder::InitSampleState(util::ThreadPool* thread_pool) {
       for (uint32_t s : matches) {
         if (sample_docs_[s].ContainsAll(terms)) ++dec;
       }
-      p_.forward_dec_[i] = dec;
+      forward_dec[i] = dec;
     }
   });
 
   // inter_[q] = sum of q's column of the adjacency (equal to the old
   // per-query ContainsAll double loop — same pairs, same counts).
-  for (size_t i = 0; i < p_.forward_dec_.size(); ++i) {
-    p_.inter_[fwd[i]] += p_.forward_dec_[i];
+  std::span<uint32_t> inter = p_.inter_.mutable_span();
+  for (size_t i = 0; i < forward_dec.size(); ++i) {
+    inter[fwd[i]] += forward_dec[i];
   }
 
   p_.build_kernel_stats_ += sample_index.kernel_stats();
@@ -270,6 +273,7 @@ void CrawlPlanBuilder::InitIdealState(util::ThreadPool* thread_pool) {
   // thread count. They are then frozen into a flat forward CSR (record ->
   // covering queries, ascending q per row — the fill order).
   p_.cover_count_.assign(p_.pool_.size(), 0);
+  std::span<uint32_t> cover_count = p_.cover_count_.mutable_span();
   std::vector<std::vector<table::RecordId>> covered_per_q(p_.pool_.size());
   constexpr size_t kIdealGrain = 16;
   thread_pool->ParallelFor(0, p_.pool_.size(), kIdealGrain, [&](size_t q) {
@@ -280,7 +284,7 @@ void CrawlPlanBuilder::InitIdealState(util::ThreadPool* thread_pool) {
     }
     covered_per_q[q] =
         p_.MatchPage(static_cast<QueryIdx>(q), page, /*removed=*/{});
-    p_.cover_count_[q] = static_cast<uint32_t>(covered_per_q[q].size());
+    cover_count[q] = static_cast<uint32_t>(covered_per_q[q].size());
   });
   index::CsrBuilder<index::QueryIdx> cf(p_.local_->size());
   for (QueryIdx q = 0; q < p_.pool_.size(); ++q) {

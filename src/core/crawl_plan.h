@@ -96,10 +96,6 @@ struct SmartCrawlOptions {
   /// see EstimatorContext::omega).
   double omega = 1.0;
 
-  /// Stop as soon as the best estimated benefit reaches 0 (no remaining
-  /// query matches any uncovered record).
-  bool stop_on_zero_benefit = true;
-
   /// Retain the crawled hidden records in the result (for enrichment).
   bool keep_crawled_records = false;
 };

@@ -109,9 +109,7 @@ snapshot::BlobWriter EncodeOptions(const SmartCrawlOptions& o) {
   w.PutU32(o.pool.min_support);
   w.PutU64(o.pool.max_itemset_size);
   w.PutU64(o.pool.max_mined_itemsets);
-  w.PutBool(o.pool.include_naive);
   w.PutBool(o.pool.dominance_prune);
-  w.PutU64(o.pool.max_pool_size);
   w.PutU32(o.pool.num_threads);
   PutStrings(&w, o.local_text_fields);
   w.PutU32(static_cast<uint32_t>(o.er.mode));
@@ -120,7 +118,6 @@ snapshot::BlobWriter EncodeOptions(const SmartCrawlOptions& o) {
   w.PutBool(o.remove_unmatched_solid);
   w.PutBool(o.alpha_fallback);
   w.PutDouble(o.omega);
-  w.PutBool(o.stop_on_zero_benefit);
   w.PutBool(o.keep_crawled_records);
   return w;
 }
@@ -133,9 +130,7 @@ Result<SmartCrawlOptions> DecodeOptions(std::span<const std::byte> bytes) {
   SC_ASSIGN_OR_RETURN(o.pool.min_support, r.U32());
   SC_ASSIGN_OR_RETURN(o.pool.max_itemset_size, r.U64());
   SC_ASSIGN_OR_RETURN(o.pool.max_mined_itemsets, r.U64());
-  SC_ASSIGN_OR_RETURN(o.pool.include_naive, r.Bool());
   SC_ASSIGN_OR_RETURN(o.pool.dominance_prune, r.Bool());
-  SC_ASSIGN_OR_RETURN(o.pool.max_pool_size, r.U64());
   SC_ASSIGN_OR_RETURN(o.pool.num_threads, r.U32());
   SC_ASSIGN_OR_RETURN(o.local_text_fields, GetStrings(&r));
   SC_ASSIGN_OR_RETURN(uint32_t er_mode, r.U32());
@@ -145,7 +140,6 @@ Result<SmartCrawlOptions> DecodeOptions(std::span<const std::byte> bytes) {
   SC_ASSIGN_OR_RETURN(o.remove_unmatched_solid, r.Bool());
   SC_ASSIGN_OR_RETURN(o.alpha_fallback, r.Bool());
   SC_ASSIGN_OR_RETURN(o.omega, r.Double());
-  SC_ASSIGN_OR_RETURN(o.stop_on_zero_benefit, r.Bool());
   SC_ASSIGN_OR_RETURN(o.keep_crawled_records, r.Bool());
   return o;
 }
@@ -500,8 +494,6 @@ Result<std::unique_ptr<CrawlPlan>> CrawlPlanSnapshotIo::Load(
   for (index::DocIndex d : p.pool_.local_postings.values()) {
     if (d >= num_records) return ShapeError("posting record out of range");
   }
-  // Read the borrowed arrays through const spans: FlatArray's non-const
-  // operator[] addresses owned storage, which a loaded plan does not have.
   std::span<const index::QueryIdx> fwd = p.forward_.values();
   std::span<const uint32_t> forward_dec = p.forward_dec_.span();
   std::span<const uint32_t> inter = p.inter_.span();
@@ -572,9 +564,7 @@ uint64_t CrawlPlan::BuildFingerprint(const table::Table& local,
   fp.AppendU32(options.pool.min_support);
   fp.AppendU64(options.pool.max_itemset_size);
   fp.AppendU64(options.pool.max_mined_itemsets);
-  fp.AppendBool(options.pool.include_naive);
   fp.AppendBool(options.pool.dominance_prune);
-  fp.AppendU64(options.pool.max_pool_size);
   fp.AppendU64(options.local_text_fields.size());
   for (const std::string& f : options.local_text_fields) fp.AppendString(f);
   fp.AppendU32(static_cast<uint32_t>(options.er.mode));
@@ -582,7 +572,6 @@ uint64_t CrawlPlan::BuildFingerprint(const table::Table& local,
   fp.AppendBool(options.remove_unmatched_solid);
   fp.AppendBool(options.alpha_fallback);
   fp.AppendDouble(options.omega);
-  fp.AppendBool(options.stop_on_zero_benefit);
   fp.AppendBool(options.keep_crawled_records);
   // Dataset content: schema plus every record's entity id and fields.
   fp.AppendU64(local.schema().num_fields());

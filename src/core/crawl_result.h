@@ -50,9 +50,9 @@ struct CrawlStats {
   /// Total records fetched across all pages.
   size_t records_fetched = 0;
   /// Selected queries whose Search failed with a transport-level
-  /// kUnavailable that survived the resilient client (retries exhausted /
-  /// breaker fail-fast). The crawl skips them and keeps going — graceful
-  /// degradation instead of aborting a long crawl on a flaky endpoint.
+  /// kUnavailable that survived the resilient client (retries exhausted).
+  /// The crawl skips them and keeps going — graceful degradation instead
+  /// of aborting a long crawl on a flaky endpoint.
   size_t queries_unavailable = 0;
   /// Selected queries the interface rejected as invalid (e.g. all
   /// stop-words after the engine's tokenization); dropped, not counted

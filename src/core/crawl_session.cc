@@ -183,9 +183,7 @@ void CrawlSession::Select() {
     return;
   }
   parked_popped_ = true;
-  parked_ = parked_priority_ <= 0.0 && plan_->options().stop_on_zero_benefit
-                ? Parked::kStopEarly
-                : Parked::kQuery;
+  parked_ = parked_priority_ <= 0.0 ? Parked::kStopEarly : Parked::kQuery;
 }
 
 void CrawlSession::Unpark() {
@@ -269,12 +267,9 @@ void CrawlSession::ProcessPendingPage() {
 
   if (options.keep_crawled_records) {
     for (const auto& rec : records) {
-      uint64_t key = rec.entity_id != table::kUnknownEntity
-                         ? rec.entity_id
-                         : static_cast<uint64_t>(rec.id);
       // Dedup across resumed calls; this call's result only gets records
       // first crawled now.
-      if (crawled_keys_.insert(key).second) {
+      if (crawled_keys_.insert(table::DedupKey(rec)).second) {
         result_.crawled_records.push_back(rec);
       }
     }

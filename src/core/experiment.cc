@@ -35,6 +35,11 @@ std::string ArmName(Arm arm) {
 
 namespace {
 
+/// The corpus behind the scenario, relative to |H| + |D|.
+constexpr double kCorpusScale = 2.2;
+/// FullCrawl gets its own (1%) sample, per Appendix C.
+constexpr double kFullCrawlTheta = 0.01;
+
 SelectionPolicy PolicyForArm(Arm arm) {
   switch (arm) {
     case Arm::kIdealCrawl:
@@ -146,7 +151,7 @@ Result<ExperimentOutcome> RunDblpExperiment(const ExperimentConfig& config) {
   scfg.corpus.seed = config.seed * 7919 + 13;
   scfg.corpus.corpus_size = static_cast<size_t>(
       static_cast<double>(config.hidden_size + config.local_size) *
-      config.corpus_scale);
+      kCorpusScale);
   // The community pool must be able to supply the local database.
   double needed_fraction =
       static_cast<double>(config.local_size) /
@@ -160,7 +165,7 @@ Result<ExperimentOutcome> RunDblpExperiment(const ExperimentConfig& config) {
   sample::HiddenSample smart_sample = sample::BernoulliSample(
       *scenario.hidden, config.theta, config.seed ^ 0x5a5a5aULL);
   sample::HiddenSample full_sample = sample::BernoulliSample(
-      *scenario.hidden, config.full_crawl_theta, config.seed ^ 0x777ULL);
+      *scenario.hidden, kFullCrawlTheta, config.seed ^ 0x777ULL);
 
   ExperimentOutcome outcome;
   outcome.num_matchable = scenario.num_matchable;

@@ -43,9 +43,6 @@ struct ExperimentConfig {
   double error_pct = 0.0;
   uint64_t seed = 1;
 
-  /// FullCrawl gets its own (1%) sample, per Appendix C.
-  double full_crawl_theta = 0.01;
-
   /// Budgets at which per-arm coverage is reported (values > budget are
   /// clamped). Empty = {budget}. Normalized (sorted, deduplicated) on
   /// entry, so unsorted or duplicate lists cannot misalign
@@ -67,9 +64,6 @@ struct ExperimentConfig {
   /// Overrides threaded into SmartCrawlOptions (pool generation, ER mode,
   /// ΔD mitigation, α fallback).
   SmartCrawlOptions smart;
-
-  /// Scale of the corpus behind the scenario relative to hidden_size.
-  double corpus_scale = 2.2;
 };
 
 struct ArmOutcome {

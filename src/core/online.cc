@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "core/baseline_crawlers.h"
 #include "sample/sampler.h"
 #include "text/tokenizer.h"
 #include "util/string_util.h"
@@ -10,15 +11,17 @@
 
 namespace smartcrawl::core {
 
+namespace {
+
+/// Share of the total budget the sampling phase may spend.
+constexpr double kSampleBudgetFraction = 0.15;
+
+}  // namespace
+
 Result<CrawlResult> OnlineSampleCrawl(const table::Table& local,
                                       hidden::KeywordSearchInterface* iface,
                                       size_t budget,
                                       const OnlineCrawlOptions& options) {
-  if (options.sample_budget_fraction <= 0.0 ||
-      options.sample_budget_fraction >= 1.0) {
-    return Status::InvalidArgument(
-        "sample_budget_fraction must be in (0, 1)");
-  }
   if (options.smart.policy != SelectionPolicy::kEstBiased &&
       options.smart.policy != SelectionPolicy::kEstUnbiased) {
     return Status::InvalidArgument(
@@ -27,13 +30,12 @@ Result<CrawlResult> OnlineSampleCrawl(const table::Table& local,
 
   // Phase 1: sample through the metered interface.
   size_t sample_budget = static_cast<size_t>(
-      static_cast<double>(budget) * options.sample_budget_fraction);
+      static_cast<double>(budget) * kSampleBudgetFraction);
   if (sample_budget == 0) sample_budget = 1;
 
   std::vector<std::string> pool;
   {
     std::unordered_set<std::string> kw;
-    text::TokenizerOptions tok;
     for (const auto& rec : local.records()) {
       std::string textv;
       if (options.smart.local_text_fields.empty()) {
@@ -44,26 +46,23 @@ Result<CrawlResult> OnlineSampleCrawl(const table::Table& local,
         if (!t.ok()) return t.status();
         textv = std::move(t).value();
       }
-      for (auto& w : text::Tokenize(textv, tok)) kw.insert(std::move(w));
+      for (auto& w : text::Tokenize(textv)) kw.insert(std::move(w));
     }
     pool.assign(kw.begin(), kw.end());
     std::sort(pool.begin(), pool.end());
   }
 
   CrawlResult combined;
+  const bool keep_records = options.smart.keep_crawled_records;
+  std::unordered_set<uint64_t> crawled_keys;
   sample::KeywordSamplerOptions sopt;
   sopt.target_sample_size =
       options.target_sample_size == 0 ? budget : options.target_sample_size;
   sopt.max_queries = sample_budget;
   sopt.seed = options.seed;
-  sopt.page_observer = [&combined](const std::vector<std::string>& query,
-                                   const std::vector<table::Record>& page) {
-    IterationLog log;
-    log.query = Join(query, " ");
-    log.page_size = static_cast<uint32_t>(page.size());
-    log.page_entities.reserve(page.size());
-    for (const auto& rec : page) log.page_entities.push_back(rec.entity_id);
-    combined.iterations.push_back(std::move(log));
+  sopt.page_observer = [&](const std::vector<std::string>& query,
+                          const std::vector<table::Record>& page) {
+    LogPage(&combined, Join(query, " "), page, keep_records, &crawled_keys);
     ++combined.queries_issued;
   };
   auto sample_or = sample::KeywordSample(iface, pool, sopt);
@@ -92,7 +91,11 @@ Result<CrawlResult> OnlineSampleCrawl(const table::Table& local,
   combined.stats = crawl.stats;
   combined.stopped_early = crawl.stopped_early;
   combined.covered_local_ids = std::move(crawl.covered_local_ids);
-  combined.crawled_records = std::move(crawl.crawled_records);
+  for (table::Record& rec : crawl.crawled_records) {
+    if (crawled_keys.insert(table::DedupKey(rec)).second) {
+      combined.crawled_records.push_back(std::move(rec));
+    }
+  }
   for (auto& it : crawl.iterations) {
     combined.iterations.push_back(std::move(it));
   }

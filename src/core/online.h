@@ -16,10 +16,11 @@
 /// future-work list opens with exactly this: "study how to create a sample
 /// in runtime such that the upfront cost can be amortized over time"
 /// (Sec. 9). This module implements the straightforward realization:
-/// spend a fraction of the query budget driving the keyword sampler
-/// through the SAME metered interface, then crawl with the estimators fed
-/// by the fresh sample. Nothing is wasted: pages fetched during sampling
-/// are part of the crawl result, so records they happen to cover count.
+/// spend 15% of the query budget driving the keyword sampler through the
+/// SAME metered interface, then crawl with the estimators fed by the fresh
+/// sample. Nothing is wasted: pages fetched during sampling are part of the
+/// crawl result, so records they happen to cover count, and with
+/// keep_crawled_records their records join crawled_records.
 
 namespace smartcrawl::core {
 
@@ -27,17 +28,16 @@ struct OnlineCrawlOptions {
   /// Crawl configuration (policy should be one of the kEst* variants;
   /// others don't use a sample and gain nothing from this wrapper).
   SmartCrawlOptions smart;
-  /// Fraction of the budget reserved for sampling, in (0, 1).
-  double sample_budget_fraction = 0.15;
   /// Stop sampling early once this many distinct records were drawn
-  /// (0 = only the budget fraction limits it).
+  /// (0 = only the sampling share of the budget limits it).
   size_t target_sample_size = 500;
   uint64_t seed = 0;
 };
 
 /// Runs sample-then-crawl against `iface` within `budget` total queries.
 /// The returned CrawlResult contains the sampling queries first (their
-/// pages included), then the crawl's.
+/// pages included), then the crawl's. With smart.keep_crawled_records,
+/// crawled_records holds every distinct record of both phases once.
 Result<CrawlResult> OnlineSampleCrawl(const table::Table& local,
                                       hidden::KeywordSearchInterface* iface,
                                       size_t budget,

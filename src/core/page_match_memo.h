@@ -41,15 +41,15 @@
 /// and get entries of their own.
 ///
 /// A page miss still shares work one level down. Tokenizing a record
-/// depends on neither the plan nor the query (every plan tokenizes with the
-/// default TokenizerOptions), so the memo also caches each hidden record's
-/// text::TokenSet, keyed on (record id, a hash of its fields). Truncated
-/// and duplicated variants, and pages of other queries and plans that
-/// return the same record, reuse it; a miss only probes the plan's
-/// dictionary once per cached token (text::Document::FromTokensFrozen) and
-/// runs CrawlPlan::MatchPreparedPage. Like the page fingerprint, the
-/// 64-bit content hash is trusted: a record whose fields change under the
-/// same id gets a new key.
+/// depends on neither the plan nor the query (text/tokenizer.h has one
+/// token policy for every plan and for the hidden side), so the memo also
+/// caches each hidden record's text::TokenSet, keyed on (record id, a hash
+/// of its fields). Truncated and duplicated variants, and pages of other
+/// queries and plans that return the same record, reuse it; a miss only
+/// probes the plan's dictionary once per cached token
+/// (text::Document::FromTokensFrozen) and runs CrawlPlan::MatchPreparedPage.
+/// Like the page fingerprint, the 64-bit content hash is trusted: a record
+/// whose fields change under the same id gets a new key.
 ///
 /// Thread safety: Match() may be called concurrently. Both maps are guarded
 /// by one mutex; misses tokenize and match outside the lock, and a lost

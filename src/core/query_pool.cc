@@ -67,15 +67,12 @@ QueryPool GenerateQueryPool(const std::vector<text::Document>& local_docs,
   // into `local_docs` or `mined`, which outlive it.
   std::vector<std::span<const text::TermId>> term_sets;
   std::vector<uint8_t> is_naive;
-  term_sets.reserve((options.include_naive ? local_docs.size() : 0) +
-                    mined.itemsets.size());
+  term_sets.reserve(local_docs.size() + mined.itemsets.size());
   is_naive.reserve(term_sets.capacity());
-  if (options.include_naive) {
-    for (const auto& doc : local_docs) {
-      if (doc.terms().empty()) continue;
-      term_sets.emplace_back(doc.terms());
-      is_naive.push_back(1);
-    }
+  for (const auto& doc : local_docs) {
+    if (doc.terms().empty()) continue;
+    term_sets.emplace_back(doc.terms());
+    is_naive.push_back(1);
   }
   for (const auto& fis : mined.itemsets) {
     if (fis.items.empty()) continue;
@@ -210,40 +207,6 @@ QueryPool GenerateQueryPool(const std::vector<text::Document>& local_docs,
         }
       }
     });
-  }
-
-  // Enforce the pool-size cap: all naive queries survive; mined queries
-  // are kept in decreasing |q(D)| order (ties to smaller index) until the
-  // cap is reached.
-  if (options.max_pool_size > 0) {
-    size_t kept_total = 0;
-    size_t kept_naive = 0;
-    for (size_t i = 0; i < num_candidates; ++i) {
-      if (!keep[i]) continue;
-      ++kept_total;
-      if (is_naive[i]) ++kept_naive;
-    }
-    if (kept_total > options.max_pool_size) {
-      std::vector<uint32_t> kept_mined;
-      for (size_t i = 0; i < num_candidates; ++i) {
-        if (keep[i] && !is_naive[i]) {
-          kept_mined.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      std::sort(kept_mined.begin(), kept_mined.end(),
-                [&](uint32_t a, uint32_t b) {
-                  if (postings(a).size() != postings(b).size()) {
-                    return postings(a).size() > postings(b).size();
-                  }
-                  return a < b;
-                });
-      size_t mined_budget = options.max_pool_size > kept_naive
-                                ? options.max_pool_size - kept_naive
-                                : 0;
-      for (size_t m = mined_budget; m < kept_mined.size(); ++m) {
-        keep[kept_mined[m]] = 0;
-      }
-    }
   }
 
   // Materialize the pool. The kept posting lists are frozen into one flat

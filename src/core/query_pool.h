@@ -49,15 +49,8 @@ struct QueryPoolOptions {
   size_t max_itemset_size = 4;
   /// Hard cap on mined itemsets enumerated (0 = unlimited).
   size_t max_mined_itemsets = 2'000'000;
-  /// Include the per-record naive queries.
-  bool include_naive = true;
   /// Apply dominance pruning.
   bool dominance_prune = true;
-  /// Cap on the final pool size (0 = unlimited). When exceeded, all naive
-  /// queries are kept (they guarantee every record stays reachable —
-  /// principle 1 of Sec. 3.1) and the mined queries with the highest
-  /// |q(D)| fill the remainder.
-  size_t max_pool_size = 0;
   /// Worker threads for transaction building, posting-list construction
   /// and dominance pruning: 0 = hardware concurrency, 1 = sequential.
   /// The generated pool is bit-identical for any thread count.

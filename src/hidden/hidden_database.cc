@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
 #include <unordered_map>
+
+#include "text/tokenizer.h"
 
 namespace smartcrawl::hidden {
 
@@ -11,8 +14,7 @@ HiddenDatabase::HiddenDatabase(table::Table records,
                                HiddenDatabaseOptions options,
                                std::unique_ptr<Ranker> ranker)
     : records_(std::move(records)), options_(std::move(options)) {
-  docs_ = records_.BuildDocuments(dict_, options_.indexed_fields,
-                                  options_.tokenizer);
+  docs_ = records_.BuildDocuments(dict_, options_.indexed_fields);
   index_ = index::InvertedIndex(docs_, dict_.size());
   if (ranker) {
     ranker_ = std::move(ranker);
@@ -31,14 +33,14 @@ HiddenDatabase::ParsedQuery HiddenDatabase::ParseQuery(
   for (const std::string& kw : keywords) {
     // Each keyword may itself contain several tokens (clients often pass a
     // whole phrase); run the full tokenizer on it.
-    for (const std::string& tok : text::Tokenize(kw, options_.tokenizer)) {
+    text::ForEachToken(kw, [&](std::string_view tok) {
       auto id = dict_.Lookup(tok);
       if (id.has_value()) {
         q.terms.push_back(*id);
       } else {
         ++q.num_unknown;
       }
-    }
+    });
   }
   std::sort(q.terms.begin(), q.terms.end());
   q.terms.erase(std::unique(q.terms.begin(), q.terms.end()), q.terms.end());

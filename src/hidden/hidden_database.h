@@ -11,7 +11,6 @@
 #include "table/table.h"
 #include "text/dictionary.h"
 #include "text/document.h"
-#include "text/tokenizer.h"
 
 /// \file hidden_database.h
 /// The hidden database simulator: a full keyword-search engine over an
@@ -24,9 +23,9 @@
 ///  * kDisjunctive — candidate set is records containing ANY keyword,
 ///    ranked by relevance (Yelp-like; records with all keywords rank top).
 ///
-/// The engine applies the same tokenizer policy to its own records and to
-/// incoming queries (lowercase, stop-word removal). Query processing is
-/// deterministic.
+/// The engine tokenizes its own records and incoming queries with the one
+/// token policy of text/tokenizer.h, the same one the crawler uses. Query
+/// processing is deterministic.
 
 namespace smartcrawl::hidden {
 
@@ -55,8 +54,6 @@ struct HiddenDatabaseOptions {
   /// sites that do not index e.g. rating or zip-code attributes
   /// (Definition 1, footnote 4).
   std::vector<std::string> indexed_fields;
-
-  text::TokenizerOptions tokenizer;
 };
 
 class HiddenDatabase : public KeywordSearchInterface {
@@ -109,7 +106,7 @@ class HiddenDatabase : public KeywordSearchInterface {
   void SetRanker(std::unique_ptr<Ranker> ranker);
 
  private:
-  /// Tokenizes query keywords with the engine's policy and maps them into
+  /// Tokenizes query keywords (text::ForEachToken) and maps them into
   /// the engine dictionary. Terms unknown to the engine are represented as
   /// `unmatchable` (the query then matches nothing under conjunctive mode).
   struct ParsedQuery {

@@ -24,8 +24,9 @@ class KeywordSearchInterface {
  public:
   virtual ~KeywordSearchInterface() = default;
 
-  /// Issues a keyword query. Keywords are raw strings; the hidden side
-  /// applies its own tokenization/stop-word policy. Returns the top-k
+  /// Issues a keyword query. Keywords are raw strings, which the hidden
+  /// side tokenizes like every other record text (text/tokenizer.h: one
+  /// token policy, shared with the crawler). Returns the top-k
   /// matching records (the "result page") as a shared read-only Page: the
   /// same answer may be handed to many callers, so none of them may
   /// modify it, and it stays alive while any caller holds the handle. An

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -227,9 +228,10 @@ Csr<T> CsrFromRows(const std::vector<std::vector<T>>& rows) {
 }
 
 /// A flat array with the same owned-or-borrowed split as Csr: the plan
-/// builder fills it like a vector (`assign` + `operator[]`), the snapshot
-/// loader installs a non-owning view over mapped bytes. Reads go through
-/// the view in both modes.
+/// builder fills it like a vector (`assign`, then writes through
+/// `mutable_span`), the snapshot loader installs a non-owning view over
+/// mapped bytes. Reads go through the view in both modes; there is no
+/// non-const element access, so a borrowed array is read-only by type.
 template <typename T>
 class FlatArray {
  public:
@@ -271,15 +273,20 @@ class FlatArray {
     return a;
   }
 
-  /// Owning fill; later element writes go through the non-const
-  /// operator[] (owning mode only — storage is stable, no reallocation).
+  /// Owning fill; later element writes go through mutable_span().
   void assign(size_t n, const T& v) {
     owned_.assign(n, v);
     borrowed_ = false;
     view_ = owned_;
   }
 
-  T& operator[](size_t i) { return owned_[i]; }
+  /// The owned storage, writable (owning mode only — storage is stable,
+  /// no reallocation). A borrowed array has no storage of its own.
+  std::span<T> mutable_span() {
+    assert(!borrowed_ && "a borrowed FlatArray is read-only");
+    return owned_;
+  }
+
   const T& operator[](size_t i) const { return view_[i]; }
 
   [[nodiscard]] size_t size() const { return view_.size(); }

@@ -27,10 +27,6 @@ Result<hidden::PageRef> ResilientClient::SearchPage(
   for (size_t attempt = 0; attempt < std::max<size_t>(options_.max_attempts, 1);
        ++attempt) {
     if (breaker_open()) {
-      if (options_.fail_fast_when_open) {
-        ++stats_.breaker_fast_fails;
-        return Status::Unavailable("circuit breaker open");
-      }
       // Wait out the cooldown on the simulated clock, then half-open: this
       // attempt is the probe.
       uint64_t now = clock_ != nullptr ? clock_->now_ms() : 0;

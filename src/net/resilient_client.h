@@ -57,16 +57,12 @@ struct RetryOptions {
 
   /// Circuit breaker: trips after this many CONSECUTIVE failed attempts;
   /// while open, traffic pauses until `breaker_cooldown_ms` of simulated
-  /// time has passed, then one probe is allowed (half-open).
+  /// time has passed, then one probe is allowed (half-open). A call that
+  /// arrives while the breaker is open waits out the cooldown on the
+  /// simulated clock: budget-bound crawls would rather spend simulated
+  /// time than lose a query.
   size_t breaker_threshold = 8;
   uint64_t breaker_cooldown_ms = 30000;
-
-  /// When true, Search calls arriving while the breaker is open fail fast
-  /// with kUnavailable instead of waiting out the cooldown on the
-  /// simulated clock. Fail-fast suits latency-sensitive callers; the
-  /// default (wait) suits budget-bound crawls, which would rather spend
-  /// simulated time than lose a query.
-  bool fail_fast_when_open = false;
 };
 
 /// Retry-layer counters (part of net::TransportStats).
@@ -76,7 +72,6 @@ struct RetryStats {
   size_t retries = 0;         ///< extra attempts after a retryable failure
   size_t gave_up = 0;         ///< Search calls that escaped as kUnavailable
   size_t breaker_trips = 0;   ///< closed/half-open -> open transitions
-  size_t breaker_fast_fails = 0;  ///< calls rejected while open (fail-fast)
   uint64_t backoff_wait_ms = 0;   ///< simulated time spent backing off
   uint64_t breaker_wait_ms = 0;   ///< simulated time waiting out cooldowns
 };

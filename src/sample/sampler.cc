@@ -1,8 +1,11 @@
 #include "sample/sampler.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,12 +34,19 @@ HiddenSample BernoulliSample(const hidden::HiddenDatabase& h, double theta,
 
 namespace {
 
-/// Identity of a returned record for duplicate detection. Real APIs return
-/// stable item ids; our simulator carries them in Record::id / entity_id.
-uint64_t RecordKey(const table::Record& rec) {
-  return rec.entity_id != table::kUnknownEntity
-             ? rec.entity_id
-             : static_cast<uint64_t>(rec.id);
+/// How many times KeywordSample refines an overflowing query before it
+/// gives up on the walk.
+constexpr size_t kMaxRefinements = 3;
+
+/// Parses all of `text` as a T. A double must be finite; an unsigned
+/// count takes no sign, so a negative one fails.
+template <typename T>
+bool ParseFull(std::string_view text, T* value) {
+  const char* last = text.data() + text.size();
+  auto [end, ec] = std::from_chars(text.data(), last, *value);
+  if (ec != std::errc() || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*value);
+  return true;
 }
 
 }  // namespace
@@ -61,14 +71,20 @@ Result<HiddenSample> LoadHiddenSample(const std::string& path) {
   while (std::getline(meta, line)) {
     auto eq = line.find('=');
     if (eq == std::string::npos) continue;
-    std::string key = line.substr(0, eq);
-    double value = std::strtod(line.c_str() + eq + 1, nullptr);
+    const std::string_view key(line.data(), eq);
+    const std::string_view value = std::string_view(line).substr(eq + 1);
+    bool ok = true;
     if (key == "theta") {
-      out.theta = value;
+      ok = ParseFull(value, &out.theta) && out.theta > 0.0 && out.theta <= 1.0;
     } else if (key == "queries_spent") {
-      out.queries_spent = static_cast<size_t>(value);
+      ok = ParseFull(value, &out.queries_spent);
     } else if (key == "estimated_hidden_size") {
-      out.estimated_hidden_size = value;
+      ok = ParseFull(value, &out.estimated_hidden_size) &&
+           out.estimated_hidden_size >= 0.0;
+    }
+    if (!ok) {
+      return Status::InvalidArgument("bad sample metadata line '" + line +
+                                     "' in " + path + ".meta");
     }
   }
   if (out.theta <= 0.0) {
@@ -88,10 +104,9 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
   const size_t k = iface->top_k();
 
   // Lower-cased pool set for client-side deg(h) computation.
-  text::TokenizerOptions tok;
   std::unordered_set<std::string> pool_set;
   for (const auto& q : query_pool) {
-    for (auto& t : text::Tokenize(q, tok)) pool_set.insert(std::move(t));
+    for (auto& t : text::Tokenize(q)) pool_set.insert(std::move(t));
   }
 
   HiddenSample out;
@@ -116,7 +131,7 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
         query_pool[rng.UniformIndex(query_pool.size())]};
     hidden::PageRef page;
     bool solid = false;
-    for (size_t depth = 0; depth <= options.max_refinements; ++depth) {
+    for (size_t depth = 0; depth <= kMaxRefinements; ++depth) {
       auto page_or = iface->SearchPage(query);
       if (!page_or.ok()) {
         if (page_or.status().IsBudgetExhausted()) out_of_budget = true;
@@ -136,7 +151,7 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
           page->records()[rng.UniformIndex(page->size())];
       std::vector<std::string> words;
       for (const std::string& field : pivot.fields) {
-        for (auto& t : text::Tokenize(field, tok)) words.push_back(std::move(t));
+        for (auto& t : text::Tokenize(field)) words.push_back(std::move(t));
       }
       if (words.empty()) break;
       query.push_back(words[rng.UniformIndex(words.size())]);
@@ -149,7 +164,7 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
     size_t deg = 0;
     std::unordered_set<std::string> rec_tokens;
     for (const std::string& field : rec.fields) {
-      for (auto& t : text::Tokenize(field, tok)) rec_tokens.insert(std::move(t));
+      for (auto& t : text::Tokenize(field)) rec_tokens.insert(std::move(t));
     }
     for (const auto& t : rec_tokens) {
       if (pool_set.count(t)) ++deg;
@@ -157,7 +172,7 @@ Result<HiddenSample> KeywordSample(hidden::KeywordSearchInterface* iface,
     if (deg == 0) deg = 1;
     if (!rng.Bernoulli(1.0 / static_cast<double>(deg))) continue;
 
-    uint64_t key = RecordKey(rec);
+    uint64_t key = table::DedupKey(rec);
     draws.push_back(key);
     if (!seen.count(key)) {
       if (out.records.schema().num_fields() == 0) {

@@ -57,12 +57,6 @@ struct KeywordSamplerOptions {
   /// Hard cap on issued queries.
   size_t max_queries = 50000;
   uint64_t seed = 0;
-  /// When a query's page comes back full (possible overflow), refine it by
-  /// conjoining a keyword drawn from a random record on the page, up to
-  /// this many times, before giving up on the walk (the overflow-splitting
-  /// idea of the samplers the paper cites [17, 20, 48]). 0 disables
-  /// refinement.
-  size_t max_refinements = 3;
   /// Optional observer invoked for every issued query with its result
   /// page. Lets callers reuse the sampling traffic (e.g. the online
   /// crawler counts sampled pages toward coverage).
@@ -79,7 +73,10 @@ struct KeywordSamplerOptions {
 /// NOT persisted.
 Status SaveHiddenSample(const HiddenSample& sample, const std::string& path);
 
-/// Loads a sample saved by SaveHiddenSample.
+/// Loads a sample saved by SaveHiddenSample. The `.meta` file is untrusted
+/// input: every value must parse in full and be finite, θ must lie in
+/// (0, 1], queries_spent must be a non-negative integer and
+/// estimated_hidden_size must be >= 0; anything else is InvalidArgument.
 Result<HiddenSample> LoadHiddenSample(const std::string& path);
 
 /// Query-based sampler through the restrictive interface.
@@ -90,7 +87,11 @@ Result<HiddenSample> LoadHiddenSample(const std::string& path);
 /// A record h returned by a solid keyword q is accepted with probability
 /// 1/deg(h), where deg(h) = number of pool keywords h contains; this undoes
 /// the bias toward records matching many pool keywords, yielding a
-/// near-uniform sample of the pool-reachable part of H.
+/// near-uniform sample of the pool-reachable part of H. A query whose page
+/// comes back full (possible overflow) is refined by conjoining a keyword
+/// drawn from a random record on the page, up to three times, before the
+/// walk is given up (the overflow-splitting idea of the samplers the paper
+/// cites [17, 20, 48]).
 ///
 /// θ̂ = distinct-sample-size / |Ĥ|, with |Ĥ| the Chapman capture–recapture
 /// estimate over the first and second halves of the accepted draws.

@@ -57,7 +57,10 @@ namespace smartcrawl::snapshot {
 inline constexpr uint64_t kMagic = 0x3130'5041'4e53'4353ULL;
 /// v3: KernelStats dropped the three vector-kernel tallies (v2's trailing
 /// u64s), leaving galloping, merge, bitmap and materialized.
-inline constexpr uint32_t kFormatVersion = 3;
+/// v4: the options section no longer stores the naive-query switch, the
+/// pool-size cap or the zero-benefit stop switch (the pool shape and the
+/// stop rule are fixed).
+inline constexpr uint32_t kFormatVersion = 4;
 /// Written natively; reads back byte-swapped on an opposite-endian host.
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSectionAlign = 64;

@@ -65,8 +65,8 @@ Result<std::string> Table::ConcatenatedText(
 }
 
 std::vector<text::Document> Table::BuildDocuments(
-    text::TermDictionary& dict, const std::vector<std::string>& field_names,
-    const text::TokenizerOptions& options) const {
+    text::TermDictionary& dict,
+    const std::vector<std::string>& field_names) const {
   std::vector<text::Document> docs;
   docs.reserve(records_.size());
   for (const Record& rec : records_) {
@@ -77,19 +77,19 @@ std::vector<text::Document> Table::BuildDocuments(
       auto r = ConcatenatedText(rec.id, field_names);
       textv = r.ok() ? std::move(r).value() : std::string();
     }
-    docs.push_back(text::Document::FromText(textv, dict, options));
+    docs.push_back(text::Document::FromText(textv, dict));
   }
   return docs;
 }
 
-size_t Table::Deduplicate(const text::TokenizerOptions& options) {
+size_t Table::Deduplicate() {
   text::TermDictionary dict;
   std::unordered_set<size_t> seen;
   std::vector<Record> kept;
   size_t removed = 0;
   for (Record& rec : records_) {
     text::Document doc =
-        text::Document::FromText(ConcatenatedText(rec.id), dict, options);
+        text::Document::FromText(ConcatenatedText(rec.id), dict);
     size_t h = HashVector(doc.terms());
     if (!seen.insert(h).second) {
       // Hash collision between genuinely different records is possible but

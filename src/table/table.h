@@ -36,6 +36,14 @@ struct Record {
   std::vector<std::string> fields;
 };
 
+/// The identity under which crawlers and samplers deduplicate returned
+/// records: the entity id when the record carries one, else its record id
+/// (real APIs return stable item ids; the simulator carries them here).
+inline uint64_t DedupKey(const Record& rec) {
+  return rec.entity_id != kUnknownEntity ? rec.entity_id
+                                         : static_cast<uint64_t>(rec.id);
+}
+
 struct Schema {
   std::vector<std::string> field_names;
 
@@ -82,14 +90,13 @@ class Table {
   /// their caller check them first (Schema::CheckFieldNames).
   std::vector<text::Document> BuildDocuments(
       text::TermDictionary& dict,
-      const std::vector<std::string>& field_names = {},
-      const text::TokenizerOptions& options = {}) const;
+      const std::vector<std::string>& field_names = {}) const;
 
   /// Removes duplicate records (identical token sets over all fields),
   /// keeping the first occurrence; re-assigns ids. Returns the number
   /// removed. The paper removes local duplicates before matching (Sec. 2,
   /// footnote 3).
-  size_t Deduplicate(const text::TokenizerOptions& options = {});
+  size_t Deduplicate();
 
   /// Loads a table from CSV. First row is the header (schema).
   static Result<Table> FromCsvFile(const std::string& path, char sep = ',');

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "text/tokenizer.h"
+
 namespace smartcrawl::text {
 
 Document::Document(std::vector<TermId> terms) : terms_(std::move(terms)) {
@@ -10,20 +12,18 @@ Document::Document(std::vector<TermId> terms) : terms_(std::move(terms)) {
   terms_.erase(std::unique(terms_.begin(), terms_.end()), terms_.end());
 }
 
-Document Document::FromText(std::string_view textv, TermDictionary& dict,
-                            const TokenizerOptions& options) {
+Document Document::FromText(std::string_view textv, TermDictionary& dict) {
   std::vector<TermId> ids;
-  ForEachToken(textv, options, [&](std::string_view token) {
+  ForEachToken(textv, [&](std::string_view token) {
     ids.push_back(dict.Intern(token));
   });
   return Document(std::move(ids));
 }
 
 Document Document::FromFields(std::span<const std::string> fields,
-                              TermDictionary& dict,
-                              const TokenizerOptions& options) {
+                              TermDictionary& dict) {
   std::vector<TermId> ids;
-  ForEachFieldToken(fields, options, [&](std::string_view token) {
+  ForEachFieldToken(fields, [&](std::string_view token) {
     ids.push_back(dict.Intern(token));
   });
   return Document(std::move(ids));

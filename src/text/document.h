@@ -8,7 +8,6 @@
 
 #include "text/dictionary.h"
 #include "text/token_set.h"
-#include "text/tokenizer.h"
 
 /// \file document.h
 /// The document model of Definition 1: each record, concatenating its
@@ -27,15 +26,13 @@ class Document {
   explicit Document(std::vector<TermId> terms);
 
   /// Builds a document from raw text through `dict` (interning new terms).
-  static Document FromText(std::string_view textv, TermDictionary& dict,
-                           const TokenizerOptions& options = {});
+  static Document FromText(std::string_view textv, TermDictionary& dict);
 
   /// FromText over a record's fields, tokenized one after another
   /// (ForEachFieldToken): the same document as FromText over the fields
   /// joined by single spaces, interning terms in the same order.
   static Document FromFields(std::span<const std::string> fields,
-                             TermDictionary& dict,
-                             const TokenizerOptions& options = {});
+                             TermDictionary& dict);
 
   /// Builds a document from a record's distinct tokens WITHOUT extending
   /// the dictionary: one hashed probe per token. Each unseen token gets an

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "text/dictionary.h"
+#include "text/tokenizer.h"
 
 namespace smartcrawl::text {
 
@@ -52,18 +53,16 @@ void Freeze(const Pending& pending, std::unique_ptr<char[]>* arena,
 
 }  // namespace
 
-TokenSet::TokenSet(std::span<const std::string> fields,
-                   const TokenizerOptions& options) {
+TokenSet::TokenSet(std::span<const std::string> fields) {
   Pending pending;
-  ForEachFieldToken(fields, options,
+  ForEachFieldToken(fields,
                     [&](std::string_view token) { pending.Add(token); });
   Freeze(pending, &arena_, &tokens_);
 }
 
-TokenSet::TokenSet(std::string_view textv, const TokenizerOptions& options) {
+TokenSet::TokenSet(std::string_view textv) {
   Pending pending;
-  ForEachToken(textv, options,
-               [&](std::string_view token) { pending.Add(token); });
+  ForEachToken(textv, [&](std::string_view token) { pending.Add(token); });
   Freeze(pending, &arena_, &tokens_);
 }
 

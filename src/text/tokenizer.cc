@@ -2,10 +2,9 @@
 
 namespace smartcrawl::text {
 
-std::vector<std::string> Tokenize(std::string_view textv,
-                                  const TokenizerOptions& options) {
+std::vector<std::string> Tokenize(std::string_view textv) {
   std::vector<std::string> tokens;
-  ForEachToken(textv, options,
+  ForEachToken(textv,
                [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }

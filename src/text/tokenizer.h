@@ -14,19 +14,11 @@
 /// Both sides of the matching problem MUST use the same tokenizer: the
 /// conjunctive keyword-search semantics of Definition 1 ("document(h)
 /// contains all the keywords in the query") are defined at the token level.
+/// So there is one token policy and no option to change it: a token is a
+/// maximal run of ASCII letters and digits, lower-cased, and dropped if it
+/// is a stop word.
 
 namespace smartcrawl::text {
-
-struct TokenizerOptions {
-  /// Lower-case all tokens.
-  bool lowercase = true;
-  /// Drop tokens in the default stop-word list (applied after lowercasing).
-  bool remove_stopwords = true;
-  /// Drop tokens shorter than this many characters.
-  size_t min_token_length = 1;
-  /// Treat digits as token characters (e.g. keep "2019").
-  bool keep_digits = true;
-};
 
 namespace tokenizer_internal {
 
@@ -45,18 +37,18 @@ inline bool IsAsciiDigit(char c) {
 
 }  // namespace tokenizer_internal
 
-/// The tokenizer: splits `textv` on any non-alphanumeric character, applies
-/// the options above, and calls `emit(token)` with each token in order,
-/// duplicates included. `token` is a std::string_view valid only during the
-/// call, so a caller that interns or hashes tokens builds no string.
+/// The tokenizer: splits `textv` on any non-alphanumeric character,
+/// lower-cases each token, drops stop words, and calls `emit(token)` with
+/// each remaining token in order, duplicates included. `token` is a
+/// std::string_view valid only during the call, so a caller that interns or
+/// hashes tokens builds no string.
 template <typename Emit>
-void ForEachToken(std::string_view textv, const TokenizerOptions& options,
-                  Emit&& emit) {
+void ForEachToken(std::string_view textv, Emit&& emit) {
   using tokenizer_internal::IsAsciiDigit;
   using tokenizer_internal::IsAsciiLetter;
   using tokenizer_internal::IsAsciiUpper;
-  auto is_token_char = [&](char c) {
-    return IsAsciiLetter(c) || (options.keep_digits && IsAsciiDigit(c));
+  auto is_token_char = [](char c) {
+    return IsAsciiLetter(c) || IsAsciiDigit(c);
   };
   std::string lowered;  // a token with upper-case letters, lower-cased
   const size_t n = textv.size();
@@ -68,16 +60,16 @@ void ForEachToken(std::string_view textv, const TokenizerOptions& options,
     for (; i < n && is_token_char(textv[i]); ++i) {
       has_upper = has_upper || IsAsciiUpper(textv[i]);
     }
-    if (i == start || i - start < options.min_token_length) continue;
+    if (i == start) continue;
     std::string_view token = textv.substr(start, i - start);
-    if (options.lowercase && has_upper) {
+    if (has_upper) {
       lowered.assign(token);
       for (char& c : lowered) {
         if (IsAsciiUpper(c)) c = static_cast<char>(c | 0x20);
       }
       token = lowered;
     }
-    if (options.remove_stopwords && IsStopword(token)) continue;
+    if (IsStopword(token)) continue;
     emit(token);
   }
 }
@@ -87,15 +79,13 @@ void ForEachToken(std::string_view textv, const TokenizerOptions& options,
 /// spaces (a record's text, Definition 1) without building the joined
 /// string.
 template <typename Emit>
-void ForEachFieldToken(std::span<const std::string> fields,
-                       const TokenizerOptions& options, Emit&& emit) {
+void ForEachFieldToken(std::span<const std::string> fields, Emit&& emit) {
   for (const std::string& field : fields) {
-    ForEachToken(std::string_view(field), options, emit);
+    ForEachToken(std::string_view(field), emit);
   }
 }
 
 /// The tokens of `textv` (ForEachToken), collected in order.
-std::vector<std::string> Tokenize(std::string_view textv,
-                                  const TokenizerOptions& options = {});
+std::vector<std::string> Tokenize(std::string_view textv);
 
 }  // namespace smartcrawl::text

@@ -115,16 +115,5 @@ TEST(FullCrawlTest, StopsWhenPoolDry) {
   EXPECT_LT(r->queries_issued, 100000u);
 }
 
-TEST(FullCrawlTest, MultiKeywordQueriesUnsupported) {
-  auto s = MakeScenario(8);
-  auto sample = sample::BernoulliSample(*s.hidden, 0.05, 13);
-  hidden::BudgetedInterface iface(s.hidden.get(), 5);
-  FullCrawlOptions opt;
-  opt.keywords_per_query = 2;
-  auto r = FullCrawl(sample, &iface, 5, opt);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace smartcrawl::core

@@ -1,5 +1,8 @@
 #include "core/online.h"
 
+#include <unordered_map>
+#include <unordered_set>
+
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
@@ -27,7 +30,6 @@ OnlineCrawlOptions BaseOptions() {
   OnlineCrawlOptions opt;
   opt.smart.policy = SelectionPolicy::kEstBiased;
   opt.smart.local_text_fields = {"title", "venue", "authors"};
-  opt.sample_budget_fraction = 0.2;
   opt.target_sample_size = 50;
   opt.seed = 5;
   return opt;
@@ -67,16 +69,30 @@ TEST(OnlineSampleCrawlTest, SamplingPagesCountTowardCoverage) {
   EXPECT_TRUE(sampling_page_nonempty);
 }
 
+TEST(OnlineSampleCrawlTest, CrawledRecordsHoldEveryPageEntityOnce) {
+  // The sampling phase's pages count: every distinct entity on any page of
+  // either phase is in crawled_records, and only once.
+  auto s = MakeScenario(6);
+  hidden::BudgetedInterface iface(s.hidden.get(), 80);
+  auto opt = BaseOptions();
+  opt.smart.keep_crawled_records = true;
+  auto r = OnlineSampleCrawl(s.local, &iface, 80, opt);
+  ASSERT_TRUE(r.ok()) << r.status();
+  std::unordered_set<table::EntityId> on_pages;
+  for (const IterationLog& it : r->iterations) {
+    on_pages.insert(it.page_entities.begin(), it.page_entities.end());
+  }
+  ASSERT_FALSE(on_pages.empty());
+  std::unordered_map<table::EntityId, size_t> kept;
+  for (const table::Record& rec : r->crawled_records) ++kept[rec.entity_id];
+  EXPECT_EQ(kept.size(), on_pages.size());
+  for (table::EntityId e : on_pages) EXPECT_EQ(kept[e], 1u) << "entity " << e;
+}
+
 TEST(OnlineSampleCrawlTest, RejectsBadConfigs) {
   auto s = MakeScenario(4);
   hidden::BudgetedInterface iface(s.hidden.get(), 10);
   auto opt = BaseOptions();
-  opt.sample_budget_fraction = 0.0;
-  EXPECT_FALSE(OnlineSampleCrawl(s.local, &iface, 10, opt).ok());
-  opt = BaseOptions();
-  opt.sample_budget_fraction = 1.5;
-  EXPECT_FALSE(OnlineSampleCrawl(s.local, &iface, 10, opt).ok());
-  opt = BaseOptions();
   opt.smart.policy = SelectionPolicy::kSimple;
   EXPECT_FALSE(OnlineSampleCrawl(s.local, &iface, 10, opt).ok());
 }

@@ -5,7 +5,7 @@
 // Both sides take their candidate itemsets from the same FP-growth run
 // (the miner has its own differential test against Apriori); what is
 // checked here is everything after mining: deduplication, q(D), dominance,
-// the pool-size cap and the materialized pool, at 1 and 4 threads.
+// and the materialized pool, at 1 and 4 threads.
 
 #include <algorithm>
 #include <map>
@@ -70,9 +70,7 @@ std::vector<RefQuery> ReferencePool(const Corpus& c,
     if (terms.empty() || !seen.insert(terms).second) return;
     cand.push_back({terms, naive, {}});
   };
-  if (options.include_naive) {
-    for (const auto& doc : c.docs) add(doc.terms(), true);
-  }
+  for (const auto& doc : c.docs) add(doc.terms(), true);
   for (const auto& fis : mined.itemsets) add(fis.items, false);
 
   // q(D) by scanning every record.
@@ -99,34 +97,6 @@ std::vector<RefQuery> ReferencePool(const Corpus& c,
         keep[i] = false;
         break;
       }
-    }
-  }
-
-  // Cap: every naive query stays; mined ones by |q(D)| descending, then by
-  // candidate order.
-  size_t kept = 0;
-  size_t kept_naive = 0;
-  std::vector<size_t> mined_kept;
-  for (size_t i = 0; i < cand.size(); ++i) {
-    if (!keep[i]) continue;
-    ++kept;
-    if (cand[i].is_naive) {
-      ++kept_naive;
-    } else {
-      mined_kept.push_back(i);
-    }
-  }
-  if (options.max_pool_size > 0 && kept > options.max_pool_size) {
-    std::stable_sort(mined_kept.begin(), mined_kept.end(),
-                     [&](size_t a, size_t b) {
-                       return cand[a].postings.size() >
-                              cand[b].postings.size();
-                     });
-    const size_t budget = options.max_pool_size > kept_naive
-                              ? options.max_pool_size - kept_naive
-                              : 0;
-    for (size_t m = budget; m < mined_kept.size(); ++m) {
-      keep[mined_kept[m]] = false;
     }
   }
 
@@ -164,58 +134,45 @@ TEST_P(QueryPoolReferenceTest, MatchesNaiveReference) {
   for (const auto& fis : mined.itemsets) support[fis.items] = fis.support;
 
   for (bool prune : {true, false}) {
-    QueryPoolOptions uncapped;
-    uncapped.dominance_prune = prune;
-    size_t naive = 0;
+    QueryPoolOptions options;
+    options.dominance_prune = prune;
+    const std::vector<RefQuery> expect = ReferencePool(c, options, mined);
     size_t mined_total = 0;
-    for (const RefQuery& q : ReferencePool(c, uncapped, mined)) {
-      ++(q.is_naive ? naive : mined_total);
-    }
+    for (const RefQuery& q : expect) mined_total += q.is_naive ? 0 : 1;
     ASSERT_GT(mined_total, 1u);
-    // No cap, a cap that keeps half of the mined queries, and one below
-    // the naive count (only naive queries survive).
-    for (size_t cap : {size_t{0}, naive + mined_total / 2, size_t{1}}) {
-      QueryPoolOptions options = uncapped;
-      options.max_pool_size = cap;
-      const std::vector<RefQuery> expect = ReferencePool(c, options, mined);
-      ASSERT_FALSE(expect.empty());
 
-      for (unsigned threads : {1u, 4u}) {
-        options.num_threads = threads;
-        const QueryPool pool = GenerateQueryPool(c.docs, c.dict, options);
-        SCOPED_TRACE(::testing::Message()
-                     << "prune " << prune << " cap " << cap << " threads "
-                     << threads);
-        EXPECT_EQ(pool.mining_truncated, mined.truncated);
-        ASSERT_EQ(pool.size(), expect.size());
-        ASSERT_EQ(pool.local_frequency.size(), expect.size());
-        ASSERT_EQ(pool.local_postings.num_rows(), expect.size());
-        size_t mined_queries = 0;
-        for (size_t i = 0; i < expect.size(); ++i) {
-          const Query& q = pool.queries[i];
-          EXPECT_EQ(q.terms, expect[i].terms) << "query " << i;
-          EXPECT_EQ(q.is_naive, expect[i].is_naive) << "query " << i;
-          ASSERT_EQ(q.keywords.size(), q.terms.size());
-          for (size_t k = 0; k < q.terms.size(); ++k) {
-            EXPECT_EQ(q.keywords[k], c.dict.TermOf(q.terms[k]));
-          }
-          const auto row = pool.local_postings[i];
-          EXPECT_EQ(std::vector<index::DocIndex>(row.begin(), row.end()),
-                    expect[i].postings)
-              << "query " << i;
-          EXPECT_EQ(pool.local_frequency[i], expect[i].postings.size());
-          if (!q.is_naive) {
-            // A mined query's |q(D)| is its FP-growth support.
-            ++mined_queries;
-            auto it = support.find(q.terms);
-            ASSERT_NE(it, support.end()) << "query " << i;
-            EXPECT_EQ(pool.local_frequency[i], it->second) << "query " << i;
-          }
+    for (unsigned threads : {1u, 4u}) {
+      options.num_threads = threads;
+      const QueryPool pool = GenerateQueryPool(c.docs, c.dict, options);
+      SCOPED_TRACE(::testing::Message()
+                   << "prune " << prune << " threads " << threads);
+      EXPECT_EQ(pool.mining_truncated, mined.truncated);
+      ASSERT_EQ(pool.size(), expect.size());
+      ASSERT_EQ(pool.local_frequency.size(), expect.size());
+      ASSERT_EQ(pool.local_postings.num_rows(), expect.size());
+      size_t mined_queries = 0;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        const Query& q = pool.queries[i];
+        EXPECT_EQ(q.terms, expect[i].terms) << "query " << i;
+        EXPECT_EQ(q.is_naive, expect[i].is_naive) << "query " << i;
+        ASSERT_EQ(q.keywords.size(), q.terms.size());
+        for (size_t k = 0; k < q.terms.size(); ++k) {
+          EXPECT_EQ(q.keywords[k], c.dict.TermOf(q.terms[k]));
         }
-        EXPECT_EQ(mined_queries, cap == 0 ? mined_total
-                                 : cap == 1 ? 0
-                                            : mined_total / 2);
+        const auto row = pool.local_postings[i];
+        EXPECT_EQ(std::vector<index::DocIndex>(row.begin(), row.end()),
+                  expect[i].postings)
+            << "query " << i;
+        EXPECT_EQ(pool.local_frequency[i], expect[i].postings.size());
+        if (!q.is_naive) {
+          // A mined query's |q(D)| is its FP-growth support.
+          ++mined_queries;
+          auto it = support.find(q.terms);
+          ASSERT_NE(it, support.end()) << "query " << i;
+          EXPECT_EQ(pool.local_frequency[i], it->second) << "query " << i;
+        }
       }
+      EXPECT_EQ(mined_queries, mined_total);
     }
   }
 }

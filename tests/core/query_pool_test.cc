@@ -101,14 +101,6 @@ TEST(QueryPoolTest, NaiveOnlyPool) {
   for (const auto& q : f.pool.queries) EXPECT_TRUE(q.is_naive);
 }
 
-TEST(QueryPoolTest, NoNaivePool) {
-  QueryPoolOptions opt;
-  opt.include_naive = false;
-  auto f = RunningExamplePool(opt);
-  for (const auto& q : f.pool.queries) EXPECT_FALSE(q.is_naive);
-  EXPECT_GT(f.pool.size(), 0u);
-}
-
 TEST(QueryPoolTest, DuplicateRecordsProduceOneNaiveQuery) {
   text::TermDictionary dict;
   std::vector<text::Document> docs = {
@@ -134,12 +126,16 @@ TEST(QueryPoolTest, MaxItemsetSizeLimitsMinedQueries) {
       text::Document::FromText("a1 b2 c3 d4 e5", dict),
       text::Document::FromText("a1 b2 c3 d4 e5", dict)};
   QueryPoolOptions opt;
-  opt.include_naive = false;
+  opt.dominance_prune = false;  // the naive query dominates every itemset
   opt.max_itemset_size = 2;
   auto pool = GenerateQueryPool(docs, dict, opt);
+  size_t mined = 0;
   for (const auto& q : pool.queries) {
+    if (q.is_naive) continue;
     EXPECT_LE(q.terms.size(), 2u);
+    ++mined;
   }
+  EXPECT_GT(mined, 0u);
 }
 
 TEST(QueryPoolTest, MiningTruncationIsReported) {
@@ -149,7 +145,6 @@ TEST(QueryPoolTest, MiningTruncationIsReported) {
       text::Document::FromText("a1 b2 c3 d4 e5 f6 g7 h8", dict),
       text::Document::FromText("a1 b2 c3 d4 e5 f6 g7 h8", dict)};
   QueryPoolOptions opt;
-  opt.include_naive = false;
   opt.max_itemset_size = 0;  // unlimited
   opt.max_mined_itemsets = 10;
   auto pool = GenerateQueryPool(docs, dict, opt);
@@ -159,43 +154,9 @@ TEST(QueryPoolTest, MiningTruncationIsReported) {
   auto full = GenerateQueryPool(docs, dict, opt);
   EXPECT_FALSE(full.mining_truncated);
   // Dominance pruning collapses them all onto the single maximal query
-  // (identical postings {d0, d1}).
+  // (identical postings {d0, d1}), which is also the records' naive query.
   EXPECT_EQ(full.size(), 1u);
   EXPECT_EQ(full.queries[0].terms.size(), 8u);
-}
-
-TEST(QueryPoolTest, MaxPoolSizeKeepsAllNaiveQueries) {
-  QueryPoolOptions opt;
-  opt.max_pool_size = 4;  // exactly the number of naive queries
-  auto f = RunningExamplePool(opt);
-  EXPECT_LE(f.pool.size(), 4u);
-  size_t naive = 0;
-  for (const auto& q : f.pool.queries) naive += q.is_naive;
-  EXPECT_EQ(naive, 4u);
-}
-
-TEST(QueryPoolTest, MaxPoolSizePrefersFrequentMinedQueries) {
-  QueryPoolOptions opt;
-  opt.max_pool_size = 5;  // room for 4 naive + 1 mined
-  auto f = RunningExamplePool(opt);
-  ASSERT_EQ(f.pool.size(), 5u);
-  // The surviving mined query must be "house" (|q(D)| = 4, the largest).
-  bool found_house = false;
-  for (size_t i = 0; i < f.pool.size(); ++i) {
-    if (!f.pool.queries[i].is_naive) {
-      EXPECT_EQ(f.pool.local_frequency[i], 4u);
-      found_house = true;
-    }
-  }
-  EXPECT_TRUE(found_house);
-}
-
-TEST(QueryPoolTest, GenerousCapIsNoOp) {
-  QueryPoolOptions opt;
-  opt.max_pool_size = 1000;
-  auto capped = RunningExamplePool(opt);
-  auto uncapped = RunningExamplePool();
-  EXPECT_EQ(capped.pool.size(), uncapped.pool.size());
 }
 
 TEST(QueryPoolTest, DisplayJoinsKeywords) {

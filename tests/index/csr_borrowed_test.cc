@@ -148,11 +148,10 @@ TEST(CsrOwned, CopyRebindsViewsToItsOwnStorage) {
 TEST(FlatArrayBorrowed, MirrorsOwningReads) {
   FlatArray<uint32_t> owned;
   owned.assign(4, 0);
-  for (uint32_t i = 0; i < 4; ++i) owned[i] = i * 10;
+  for (uint32_t i = 0; i < 4; ++i) owned.mutable_span()[i] = i * 10;
 
   auto borrowed_or = FlatArray<uint32_t>::FromBorrowed(owned.span());
   ASSERT_TRUE(borrowed_or.ok());
-  // Borrowed mode is read-only; reads go through the const accessors.
   const FlatArray<uint32_t>& b = *borrowed_or;
   EXPECT_TRUE(b.borrowed());
   ASSERT_EQ(b.size(), 4u);
@@ -160,6 +159,17 @@ TEST(FlatArrayBorrowed, MirrorsOwningReads) {
   for (uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(b[i], o[i]);
   }
+}
+
+TEST(FlatArrayBorrowed, NonConstReadGoesThroughTheView) {
+  const std::vector<uint32_t> backing = {5, 6, 7};
+  auto borrowed_or = FlatArray<uint32_t>::FromBorrowed(backing);
+  ASSERT_TRUE(borrowed_or.ok());
+  // A borrowed array has no owned storage: a read through a non-const
+  // reference must still address the borrowed bytes.
+  FlatArray<uint32_t>& b = *borrowed_or;
+  EXPECT_EQ(&b[0], backing.data());
+  EXPECT_EQ(b[2], 7u);
 }
 
 TEST(FlatArrayBorrowed, RejectsMisaligned) {

@@ -127,7 +127,6 @@ TEST(NetCrawlResilienceTest, OnlineSampleCrawlSurvivesUnavailability) {
   core::OnlineCrawlOptions opt;
   opt.smart.policy = core::SelectionPolicy::kEstBiased;
   opt.smart.local_text_fields = s.local_text_fields;
-  opt.sample_budget_fraction = 0.3;
   opt.target_sample_size = 50;
   opt.seed = 7;
 

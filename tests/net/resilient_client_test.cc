@@ -175,31 +175,6 @@ TEST(NetResilientClientTest, BreakerTripsWaitsAndHalfOpens) {
   EXPECT_GE(clock.now_ms(), 60000u);
 }
 
-TEST(NetResilientClientTest, FailFastWhenOpenRejectsWithoutInnerCalls) {
-  FailNTimesInterface inner(100, Status::Unavailable("down"));
-  SimulatedClock clock;
-  RetryOptions opt = NoJitter(3);
-  opt.breaker_threshold = 3;
-  opt.breaker_cooldown_ms = 60000;
-  opt.fail_fast_when_open = true;
-  ResilientClient client(&inner, opt, &clock);
-
-  EXPECT_FALSE(client.Search({"q"}).ok());  // trips on the 3rd attempt
-  EXPECT_EQ(client.stats().breaker_trips, 1u);
-  size_t calls_before = inner.calls();
-  EXPECT_TRUE(client.breaker_open());
-  auto r = client.Search({"q"});
-  EXPECT_TRUE(r.status().IsUnavailable());
-  EXPECT_EQ(inner.calls(), calls_before);  // rejected at the breaker
-  EXPECT_EQ(client.stats().breaker_fast_fails, 1u);
-
-  // After the cooldown the half-open probe goes through to the inner.
-  clock.Advance(60000);
-  EXPECT_FALSE(client.breaker_open());
-  EXPECT_FALSE(client.Search({"q"}).ok());
-  EXPECT_GT(inner.calls(), calls_before);
-}
-
 hidden::HiddenDatabase SmallDb() {
   table::Table t(table::Schema{{"name"}});
   EXPECT_TRUE(t.Append({"alpha beta"}, 1).ok());

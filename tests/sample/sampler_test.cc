@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -61,10 +62,9 @@ TEST(BernoulliSampleTest, SamplePreservesSchemaAndEntityIds) {
 
 std::vector<std::string> SingleKeywordPool(const table::Table& t) {
   std::unordered_set<std::string> kw;
-  text::TokenizerOptions tok;
   for (const auto& rec : t.records()) {
     for (size_t f = 0; f < rec.fields.size(); ++f) {
-      for (auto& w : text::Tokenize(rec.fields[f], tok)) kw.insert(w);
+      for (auto& w : text::Tokenize(rec.fields[f])) kw.insert(w);
     }
   }
   return {kw.begin(), kw.end()};
@@ -171,6 +171,61 @@ TEST(SamplePersistenceTest, MissingMetaFails) {
   auto back = LoadHiddenSample(path);
   EXPECT_FALSE(back.ok());
   std::remove(path.c_str());
+}
+
+// Writes a one-record sample CSV at `name` in the temp directory with
+// `meta` as its .meta file, loads it, removes both files, and returns the
+// load's status.
+Status LoadWithMeta(const std::string& name, const std::string& meta) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  {
+    std::ofstream csv(path);
+    csv << "title\nnoodle house\n";
+    std::ofstream m(path + ".meta");
+    m << meta;
+  }
+  Status st = LoadHiddenSample(path).status();
+  std::remove(path.c_str());
+  std::remove((path + ".meta").c_str());
+  return st;
+}
+
+TEST(SamplePersistenceTest, WellFormedMetaLoads) {
+  EXPECT_TRUE(LoadWithMeta("sc_meta_ok.csv",
+                           "theta=1\nqueries_spent=0\n"
+                           "estimated_hidden_size=1e+06\n")
+                  .ok());
+}
+
+TEST(SamplePersistenceTest, RejectsNanTheta) {
+  EXPECT_TRUE(LoadWithMeta("sc_meta_nan.csv", "theta=nan\n")
+                  .IsInvalidArgument());
+}
+
+TEST(SamplePersistenceTest, RejectsThetaAboveOne) {
+  EXPECT_TRUE(
+      LoadWithMeta("sc_meta_two.csv", "theta=2\n").IsInvalidArgument());
+}
+
+TEST(SamplePersistenceTest, RejectsTrailingJunk) {
+  EXPECT_TRUE(LoadWithMeta("sc_meta_junk.csv", "theta=0.5abc\n")
+                  .IsInvalidArgument());
+}
+
+TEST(SamplePersistenceTest, RejectsNegativeQueriesSpent) {
+  EXPECT_TRUE(
+      LoadWithMeta("sc_meta_negq.csv", "theta=0.5\nqueries_spent=-1\n")
+          .IsInvalidArgument());
+}
+
+TEST(SamplePersistenceTest, RejectsBadEstimatedHiddenSize) {
+  EXPECT_TRUE(LoadWithMeta("sc_meta_negh.csv",
+                           "theta=0.5\nestimated_hidden_size=-3\n")
+                  .IsInvalidArgument());
+  EXPECT_TRUE(LoadWithMeta("sc_meta_infh.csv",
+                           "theta=0.5\nestimated_hidden_size=inf\n")
+                  .IsInvalidArgument());
 }
 
 TEST(KeywordSampleTest, SampleIsRoughlyUniform) {

@@ -30,38 +30,9 @@ TEST(TokenizerTest, StopwordsRemovedByDefault) {
   EXPECT_EQ(toks, (std::vector<std::string>{"lotus", "siam"}));
 }
 
-TEST(TokenizerTest, StopwordsKeptWhenDisabled) {
-  TokenizerOptions opt;
-  opt.remove_stopwords = false;
-  auto toks = Tokenize("The Lotus of Siam", opt);
-  EXPECT_EQ(toks, (std::vector<std::string>{"the", "lotus", "of", "siam"}));
-}
-
-TEST(TokenizerTest, CaseSensitiveMode) {
-  TokenizerOptions opt;
-  opt.lowercase = false;
-  opt.remove_stopwords = false;
-  auto toks = Tokenize("Thai HOUSE", opt);
-  EXPECT_EQ(toks, (std::vector<std::string>{"Thai", "HOUSE"}));
-}
-
 TEST(TokenizerTest, DigitsKeptByDefault) {
   auto toks = Tokenize("room 42b");
   EXPECT_EQ(toks, (std::vector<std::string>{"room", "42b"}));
-}
-
-TEST(TokenizerTest, DigitsDroppedWhenDisabled) {
-  TokenizerOptions opt;
-  opt.keep_digits = false;
-  auto toks = Tokenize("room 42b 2019", opt);
-  EXPECT_EQ(toks, (std::vector<std::string>{"room", "b"}));
-}
-
-TEST(TokenizerTest, MinTokenLength) {
-  TokenizerOptions opt;
-  opt.min_token_length = 3;
-  auto toks = Tokenize("go to the big db lab", opt);
-  EXPECT_EQ(toks, (std::vector<std::string>{"big", "lab"}));
 }
 
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
@@ -75,18 +46,17 @@ TEST(TokenizerTest, DuplicatesPreserved) {
   EXPECT_EQ(toks.size(), 3u);
 }
 
-std::vector<std::string> FieldTokens(const std::vector<std::string>& fields,
-                                     const TokenizerOptions& options) {
+std::vector<std::string> FieldTokens(const std::vector<std::string>& fields) {
   std::vector<std::string> tokens;
-  ForEachFieldToken(fields, options,
+  ForEachFieldToken(fields,
                     [&](std::string_view t) { tokens.emplace_back(t); });
   return tokens;
 }
 
 TEST(TokenizerTest, FieldByFieldEqualsJoinedText) {
   // A record's text is its fields joined by single spaces; tokenizing the
-  // fields one by one must give the same tokens under any options, even
-  // when a field boundary falls inside what would be one word.
+  // fields one by one must give the same tokens, even when a field
+  // boundary falls inside what would be one word.
   const std::vector<std::vector<std::string>> records = {
       {},
       {""},
@@ -97,23 +67,16 @@ TEST(TokenizerTest, FieldByFieldEqualsJoinedText) {
       {"  leading", "trailing  ", "\tTabs\nand;punct.", "Ab12cd", "9"},
       {"The", "of", "and"},
   };
-  std::vector<TokenizerOptions> options(4);
-  options[1].remove_stopwords = false;
-  options[1].lowercase = false;
-  options[2].keep_digits = false;
-  options[3].min_token_length = 3;
-  for (const TokenizerOptions& opt : options) {
-    for (const std::vector<std::string>& fields : records) {
-      std::string joined;
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (i > 0) joined += ' ';
-        joined += fields[i];
-      }
-      EXPECT_EQ(FieldTokens(fields, opt), Tokenize(joined, opt))
-          << "joined: '" << joined << "'";
+  for (const std::vector<std::string>& fields : records) {
+    std::string joined;
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) joined += ' ';
+      joined += fields[i];
     }
+    EXPECT_EQ(FieldTokens(fields), Tokenize(joined))
+        << "joined: '" << joined << "'";
   }
-  EXPECT_EQ(FieldTokens(records[4], {}),
+  EXPECT_EQ(FieldTokens(records[4]),
             (std::vector<std::string>{"data", "base"}));
 }
 

@@ -350,11 +350,7 @@ int Run(const CliConfig& cfg) {
     table.x_name = "query";
     std::vector<double> crawled_count;
     size_t total = 0;
-    std::unordered_map<uint64_t, bool> seen;
     for (size_t i = 0; i < crawl.iterations.size(); ++i) {
-      for (auto e : crawl.iterations[i].page_entities) {
-        (void)e;
-      }
       total += crawl.iterations[i].page_size;
       table.x.push_back(i + 1);
       crawled_count.push_back(static_cast<double>(total));
